@@ -8,8 +8,6 @@
 #include <string_view>
 #include <utility>
 
-#include "common/simd/dispatch.h"
-
 namespace tupelo::bench {
 
 RunResult Measure(const Database& source, const Database& target,
@@ -161,14 +159,13 @@ BenchReport::BenchReport(std::string harness, const BenchArgs& args)
     : enabled_(!args.json_path.empty()), path_(args.json_path) {
   if (!enabled_) return;
   root_ = obs::JsonValue::Object();
-  root_["schema_version"] = 10;
+  root_["schema_version"] = 11;
   root_["harness"] = std::move(harness);
   root_["git_sha"] = GitSha();
   root_["seed"] = args.seed;
   root_["quick"] = args.quick;
   root_["budget"] = args.budget;
   root_["threads"] = args.threads;
-  root_["simd_dispatch"] = std::string(simd::LevelName(simd::ActiveLevel()));
   root_["panels"] = obs::JsonValue::Array();
 }
 

@@ -118,9 +118,9 @@ class BenchTrace {
 };
 
 // Accumulates a machine-readable run report and writes it to the --json
-// path on Write(). Layout (schema_version 10):
+// path on Write(). Layout (schema_version 11):
 //
-//   {"schema_version":10, "harness":..., "git_sha":..., "seed":...,
+//   {"schema_version":11, "harness":..., "git_sha":..., "seed":...,
 //    "quick":..., "budget":..., "threads":...,
 //    "panels":[{"name":..., "runs":[{...axis fields..., "found":...,
 //               "cutoff":..., "stop_reason":..., "verified":...,
@@ -153,9 +153,7 @@ class BenchTrace {
 // and micro_bench runs the heartbeat_tick_ns/expand_supervised_ns
 // timings.
 //
-// Schema 8 additions: a root "simd_dispatch" field (the runtime kernel
-// tier the harness ran with — "scalar", "sse42", or "avx2"; see
-// common/simd/dispatch.h), micro_bench runs carry the kernel timings
+// Schema 8 additions: micro_bench runs carry the kernel timings
 // edit_short_ns/edit_long_ns/term_hash_ns/term_merge_ns/
 // estimate_batch_ns, and run metrics may carry the state.tnf_* counters
 // and heuristic.levenshtein.tnf_hits/tnf_misses.
@@ -165,6 +163,12 @@ class BenchTrace {
 // runs carry "case"/"tuples"/"apply_ns" (plus "speedup" and the
 // fused_ops/interpreted_ops/segments plan shape on compiled runs), and
 // run metrics may carry the executor.fused.* counters.
+//
+// Schema 10 additions: the discovery service (serve_loadgen's "serve"
+// harness and the serve.* counters).
+//
+// Schema 11 drops the root "simd_dispatch" field that schema 8 added:
+// the kernels have one implementation, so there is no tier to record.
 //
 // All methods are no-ops when constructed with an empty json_path, so
 // harnesses call them unconditionally.

@@ -24,8 +24,6 @@
 
 #include "bench_util.h"
 #include "common/hash.h"
-#include "common/simd/dispatch.h"
-#include "common/simd/edit_distance.h"
 #include "core/mapping_problem.h"
 #include "core/tupelo.h"
 #include "fira/executor.h"
@@ -207,16 +205,6 @@ void BM_Levenshtein(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Levenshtein)->Arg(32)->Arg(256)->Arg(1024)->Arg(4096);
-
-// The pinned-fallback path (TUPELO_SIMD=scalar), for the dispatched-vs-
-// scalar speedup factor without rerunning under the env var.
-void BM_LevenshteinScalar(benchmark::State& state) {
-  auto [a, b] = EditPair(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::EditDistanceScalar(a, b));
-  }
-}
-BENCHMARK(BM_LevenshteinScalar)->Arg(32)->Arg(256)->Arg(1024)->Arg(4096);
 
 // Asymmetric pair: a short pattern against a long text, the blocked-DP
 // pattern-side-selection case (range(0) = pattern, range(1) = text).
@@ -407,9 +395,8 @@ int RunJsonSuite(int argc, char** argv) {
   const int iters = args.quick ? 2000 : 20000;
   const int expand_iters = args.quick ? 50 : 200;
 
-  // SIMD kernel timings (schema 8), size-independent — measured once and
-  // stamped on every run so per-run rows stay self-contained. The active
-  // dispatch tier lands in the report's simd_dispatch root field.
+  // Kernel timings (schema 8), size-independent — measured once and
+  // stamped on every run so per-run rows stay self-contained.
   const auto [edit_short_a, edit_short_b] = EditPair(64);
   const auto [edit_long_a, edit_long_b] = EditPair(1024);
   double edit_short = NanosPer(iters, [&, &a = edit_short_a,

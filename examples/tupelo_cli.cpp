@@ -8,7 +8,7 @@
 //       [--k=<scale>] [--max-states=N]
 //       [--trace=file.json] [--trace-buffer-kb=N] [--flight-recorder]
 //       [--checkpoint=file.tck] [--resume]
-//       [--apply] [--compiled] [--simplify] [--check] [--conform]
+//       [--apply] [--simplify] [--check] [--conform]
 //       [--save=mapping.tmap] [--name=<id>]
 //       [--corr=function:in1+in2:out ...]
 //   tupelo_cli --validate <mapping.tmap>
@@ -117,11 +117,8 @@ int Usage() {
          "period (default 20)\n"
          "  [--rung-retries=N]        with --supervise: retries per "
          "stalled rung (default 1)\n"
-         "  [--apply]                 execute the mapping and print the "
-         "result\n"
-         "  [--compiled]              use the fused compiled executor for "
-         "discovery\n"
-         "                            successors and for --apply\n"
+         "  [--apply]                 execute the mapping (compiled "
+         "executor) and print the result\n"
          "  [--simplify]              run the peephole optimizer on the "
          "result\n"
          "  [--check]                 statically type-check the result "
@@ -149,7 +146,6 @@ int main(int argc, char** argv) {
   options.algorithm = tupelo::SearchAlgorithm::kRbfs;
   options.heuristic = tupelo::HeuristicKind::kH1;
   bool apply = false;
-  bool compiled = false;
   bool check = false;
   bool conform = false;
   bool validate = false;
@@ -219,9 +215,6 @@ int main(int argc, char** argv) {
           std::stoi(value_of("--rung-retries="));
     } else if (arg == "--no-prune") {
       options.successors.prune = false;
-    } else if (arg == "--compiled") {
-      compiled = true;
-      options.successors.compiled_expand = true;
     } else if (arg == "--apply") {
       apply = true;
     } else if (arg == "--simplify") {
@@ -385,10 +378,7 @@ int main(int argc, char** argv) {
 
   if (apply) {
     tupelo::Result<tupelo::Database> mapped =
-        compiled
-            ? tupelo::CompiledExecutor(result->mapping)
-                  .Apply(*source, &registry)
-            : result->mapping.Apply(*source, &registry);
+        tupelo::CompiledExecutor(result->mapping).Apply(*source, &registry);
     if (!mapped.ok()) {
       std::cerr << "execution error: " << mapped.status() << "\n";
       return 1;

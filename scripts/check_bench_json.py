@@ -3,7 +3,7 @@
 
 Usage: check_bench_json.py REPORT.json [REPORT2.json ...]
 
-Checks the schema documented in docs/OBSERVABILITY.md (schema_version 9):
+Checks the schema documented in docs/OBSERVABILITY.md (schema_version 11):
 required top-level fields with the right types, a non-empty panels list,
 and per-run presence of the standard measurement fields — including the
 resource-governance fields (stop_reason, verified, verify_error,
@@ -30,10 +30,9 @@ supervisor.* counters, the optional per-run supervision fields
 ("stall_preemptions", "memory_reliefs", "rung_retries",
 "states_quarantined" — non-negative ints wherever present), and the
 micro_bench heartbeat_tick_ns / expand_supervised_ns timings.
-Schema_version 8 adds the SIMD kernel layer: a root "simd_dispatch"
-field (the runtime kernel tier — "scalar", "sse42", or "avx2"), the
-micro_bench kernel timings (edit_short_ns, edit_long_ns, term_hash_ns,
-term_merge_ns, estimate_batch_ns), and the TNF-encoding counters
+Schema_version 8 adds the kernel layer: the micro_bench kernel
+timings (edit_short_ns, edit_long_ns, term_hash_ns, term_merge_ns,
+estimate_batch_ns), and the TNF-encoding counters
 (state.tnf_bytes/encodes, heuristic.levenshtein.tnf_hits/misses —
 validated like the substrate counters). Schema_version 9 adds the
 compiled executor: an optional per-run "executor" field ("interpreter"
@@ -49,6 +48,9 @@ runs must carry "job_id" / "accepted" / "latency_millis" /
 "queue_millis", and its "summary" panel runs the throughput and
 overload aggregates (jobs_submitted/accepted/shed/completed/resumed,
 jobs_per_sec, p50/p99_millis, shed_rate, max_queue_depth, violations).
+Schema_version 11 drops the root "simd_dispatch" field that schema 8
+added: the kernels have one implementation, so there is no tier to
+record.
 Exits non-zero with a line per violation, so it works as a ctest
 command.
 """
@@ -56,7 +58,7 @@ command.
 import json
 import sys
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 STOP_REASONS = {
     "found", "exhausted", "states", "depth", "memory", "deadline",
@@ -71,11 +73,8 @@ REQUIRED_TOP = {
     "quick": bool,
     "budget": int,
     "threads": int,
-    "simd_dispatch": str,
     "panels": list,
 }
-
-SIMD_DISPATCH_LEVELS = {"scalar", "sse42", "avx2"}
 
 REQUIRED_RUN = {
     "found": bool,
@@ -111,7 +110,7 @@ MICRO_NS_FIELDS = (
     # Expand through the poison-state quarantine wrapper).
     "heartbeat_tick_ns",
     "expand_supervised_ns",
-    # Schema 8: SIMD kernel timings (dispatched edit distance short/long,
+    # Schema 8: kernel timings (edit distance short/long,
     # bulk term-key hashing, term-vector merge, batched estimation).
     "edit_short_ns",
     "edit_long_ns",
@@ -217,10 +216,6 @@ def check(path):
     if isinstance(threads, int) and not isinstance(threads, bool):
         if threads < 1:
             err("threads is %d, want >= 1" % threads)
-    dispatch = doc.get("simd_dispatch")
-    if isinstance(dispatch, str) and dispatch not in SIMD_DISPATCH_LEVELS:
-        err("simd_dispatch is %r, want one of %s"
-            % (dispatch, sorted(SIMD_DISPATCH_LEVELS)))
     sha = doc.get("git_sha", "")
     if isinstance(sha, str) and sha != "unknown" and (
         len(sha) != 40 or not all(c in "0123456789abcdef" for c in sha)

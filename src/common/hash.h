@@ -40,13 +40,11 @@ inline uint64_t Fnv1aSeeded(std::string_view bytes, uint64_t seed) {
 
 // Seeded bulk hash for in-memory keys (term keys, transient indexes):
 // four interleaved FNV-style stripes over 32-byte blocks, folded through
-// Mix64. One fixed function with two implementations — a portable SWAR
-// loop and a 4-lane AVX2 stripe step — dispatched at runtime by the
-// common/simd layer; both return identical values (see simd/dispatch.h).
-// Chain components by feeding one call's result as the next call's seed.
-// NOT a replacement for Fnv1a/Fnv1aSeeded where the byte-serial
-// recurrence is part of a persisted format (checkpoint checksums,
-// canonical state fingerprints). Implemented in simd/hash_kernels.cc.
+// Mix64. Chain components by feeding one call's result as the next
+// call's seed. NOT a replacement for Fnv1a/Fnv1aSeeded where the
+// byte-serial recurrence is part of a persisted format (checkpoint
+// checksums, canonical state fingerprints). Implemented in
+// simd/hash_kernels.cc.
 uint64_t HashBytes64(std::string_view bytes, uint64_t seed);
 
 // splitmix64 finalizer: a cheap full-avalanche bijection. Applied before

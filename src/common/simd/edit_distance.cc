@@ -1,10 +1,6 @@
 #include "common/simd/edit_distance.h"
 
 #include <algorithm>
-#include <numeric>
-
-#include "common/simd/dispatch.h"
-#include "common/simd/simd_internal.h"
 
 namespace tupelo::simd {
 namespace {
@@ -112,11 +108,6 @@ void BuildPeq(std::string_view pattern, size_t blocks,
 
 size_t CommonPrefix(std::string_view a, std::string_view b) {
   const size_t n = std::min(a.size(), b.size());
-#if defined(TUPELO_SIMD_HAVE_AVX2_TU)
-  if (ActiveLevel() >= Level::kAvx2) {
-    return internal::CommonPrefixAvx2(a.data(), b.data(), n);
-  }
-#endif
   size_t i = 0;
   while (i < n && a[i] == b[i]) ++i;
   return i;
@@ -153,31 +144,7 @@ size_t MyersDistance(std::string_view a, std::string_view b) {
 
 }  // namespace
 
-size_t EditDistanceScalar(std::string_view a, std::string_view b) {
-  // Keep the shorter string in the DP row.
-  if (a.size() < b.size()) std::swap(a, b);
-  if (b.empty()) return a.size();
-
-  std::vector<size_t> row(b.size() + 1);
-  std::iota(row.begin(), row.end(), size_t{0});
-
-  for (size_t i = 1; i <= a.size(); ++i) {
-    size_t diagonal = row[0];  // row[j-1] of the previous row
-    row[0] = i;
-    for (size_t j = 1; j <= b.size(); ++j) {
-      size_t up = row[j];
-      size_t substitute = diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
-      row[j] = std::min({up + 1,          // delete from a
-                         row[j - 1] + 1,  // insert into a
-                         substitute});
-      diagonal = up;
-    }
-  }
-  return row[b.size()];
-}
-
 size_t EditDistance(std::string_view a, std::string_view b) {
-  if (ActiveLevel() == Level::kScalar) return EditDistanceScalar(a, b);
   // Common prefix/suffix contribute no edits; trimming them shrinks the
   // DP without changing the distance.
   const size_t prefix = CommonPrefix(a, b);
@@ -203,9 +170,6 @@ PreparedPattern::PreparedPattern(std::string pattern)
 }
 
 size_t PreparedPattern::Distance(std::string_view text) const {
-  if (ActiveLevel() == Level::kScalar) {
-    return EditDistanceScalar(pattern_, text);
-  }
   if (pattern_.empty()) return text.size();
   if (text.empty()) return pattern_.size();
   if (pattern_.size() <= 64) return Myers64(pattern_.size(), peq_.data(), text);

@@ -1,9 +1,8 @@
-// HashBytes64: the dispatched bulk hash behind common/hash.h. One fixed
-// function — four interleaved FNV-style stripes over 32-byte blocks,
-// folded through Mix64 — with two implementations: a portable SWAR loop
-// (scalar and sse42 tiers) and a 4-lane AVX2 stripe step. The function
-// is seeded, so callers chain component hashes (seed = previous hash)
-// the way term keys are built in heuristics/term_vector.cc.
+// HashBytes64: the bulk hash behind common/hash.h — four interleaved
+// FNV-style stripes over 32-byte blocks, folded through Mix64. The four
+// stripes do not depend on each other, so their multiplies overlap. The
+// function is seeded, so callers chain component hashes (seed = previous
+// hash) the way term keys are built in heuristics/term_vector.cc.
 //
 // This is deliberately NOT byte-serial FNV-1a (common/hash.h): that
 // recurrence carries a loop dependency per byte and cannot be
@@ -14,8 +13,6 @@
 #include <cstring>
 
 #include "common/hash.h"
-#include "common/simd/dispatch.h"
-#include "common/simd/simd_internal.h"
 
 namespace tupelo {
 namespace {
@@ -41,12 +38,11 @@ inline uint64_t LoadLe64(const unsigned char* p) {
   return w;
 }
 
-// The portable stripe step over full 32-byte blocks. Each stripe eats
-// the i-th u64 of the block: xor then multiply by an odd constant — a
-// bijection in the word, so two inputs differing in one word never
-// collide within a stripe step.
-void HashBlocksScalar(const unsigned char* data, size_t blocks,
-                      uint64_t s[4]) {
+// The stripe step over full 32-byte blocks. Each stripe eats the i-th
+// u64 of the block: xor then multiply by an odd constant — a bijection
+// in the word, so two inputs differing in one word never collide within
+// a stripe step.
+void HashBlocks(const unsigned char* data, size_t blocks, uint64_t s[4]) {
   for (size_t b = 0; b < blocks; ++b) {
     const unsigned char* p = data + 32 * b;
     s[0] = (s[0] ^ LoadLe64(p)) * kStripePrime;
@@ -67,15 +63,7 @@ uint64_t HashBytes64(std::string_view bytes, uint64_t seed) {
   const size_t n = bytes.size();
   const size_t blocks = n / 32;
 
-#if defined(TUPELO_SIMD_HAVE_AVX2_TU)
-  if (simd::ActiveLevel() >= simd::Level::kAvx2) {
-    simd::internal::HashBlocksAvx2(data, blocks, s);
-  } else {
-    HashBlocksScalar(data, blocks, s);
-  }
-#else
-  HashBlocksScalar(data, blocks, s);
-#endif
+  HashBlocks(data, blocks, s);
 
   // Tail: zero-pad the final partial block and run one more stripe step.
   // The length fold below keeps "a" and "a\0" distinct.
@@ -83,7 +71,7 @@ uint64_t HashBytes64(std::string_view bytes, uint64_t seed) {
   if (rem > 0) {
     unsigned char tail[32] = {0};
     std::memcpy(tail, data + 32 * blocks, rem);
-    HashBlocksScalar(tail, 1, s);
+    HashBlocks(tail, 1, s);
   }
 
   uint64_t h = seed ^ Mix64(s[0]);

@@ -380,10 +380,7 @@ std::vector<MappingProblem::SuccessorT> MappingProblem::Expand(
   seen.insert(state_key);
 
   for (Op& op : CandidateOps(state)) {
-    Result<Database> next =
-        config_.compiled_expand
-            ? ApplyOpCompiled(op, state, registry_, metrics_, trace_)
-            : ApplyOp(op, state, registry_, metrics_, trace_);
+    Result<Database> next = ApplyOp(op, state, registry_, metrics_, trace_);
     if (!next.ok()) continue;  // inapplicable in this state
     Fp128 key = next->Fingerprint128();
     if (!seen.insert(key).second) continue;  // duplicate successor / no-op

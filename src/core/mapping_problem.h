@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "fira/compile.h"
 #include "fira/executor.h"
 #include "fira/function_registry.h"
 #include "fira/operators.h"
@@ -59,13 +58,6 @@ struct SuccessorConfig {
   // a lookup. 0 disables it. Cached successor states are reported via
   // AuxMemoryNodes() and count toward SearchLimits::max_memory_nodes.
   size_t expand_cache_capacity = 256;
-  // Execute Expand's operator applications through the compiled executor
-  // (fira/compile.h) instead of the scalar interpreter. Outcome-identical
-  // by the differential-harness contract — same successors, same errors,
-  // same fault-injector accounting — so this is purely an execution
-  // backend switch. Defaults to the TUPELO_COMPILED_EXPAND environment
-  // variable (see DefaultCompiledExpand) so CI can flip whole suites.
-  bool compiled_expand = DefaultCompiledExpand();
 };
 
 // The TUPELO search problem (§2.3): states are database instances, actions

@@ -1,10 +1,8 @@
 #include "fira/compile.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -363,30 +361,6 @@ Result<Database> CompiledExecutor::Apply(const Database& input,
     state = std::move(next).value();
   }
   return state;
-}
-
-Result<Database> ApplyOpCompiled(const Op& op, const Database& input,
-                                 const FunctionRegistry* registry,
-                                 obs::MetricRegistry* metrics,
-                                 obs::TraceSession* trace) {
-  if (!IsFusable(op)) {
-    return ApplyOp(op, input, registry, metrics, trace);
-  }
-  PlanSegment seg;
-  seg.kind = PlanSegment::Kind::kFused;
-  seg.first_step = 0;
-  seg.ops = {op};
-  size_t failed = 0;
-  return ExecuteFused(seg, input, registry, metrics, trace, &failed);
-}
-
-bool DefaultCompiledExpand() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("TUPELO_COMPILED_EXPAND");
-    return env != nullptr && env[0] != '\0' &&
-           std::string_view(env) != "0";
-  }();
-  return enabled;
 }
 
 }  // namespace tupelo

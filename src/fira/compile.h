@@ -7,7 +7,6 @@
 #include "fira/expression.h"
 #include "fira/function_registry.h"
 #include "fira/ir.h"
-#include "fira/operators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relational/database.h"
@@ -59,21 +58,6 @@ class CompiledExecutor {
  private:
   CompiledPlan plan_;
 };
-
-// Single-operator compiled apply: the Expand-path entry point
-// (SuccessorConfig::compiled_expand). Exactly equivalent to
-// ApplyOp(op, input, ...) — same Result, same injector/metrics/trace
-// activity — but routed through the loop IR for fusable operators.
-Result<Database> ApplyOpCompiled(const Op& op, const Database& input,
-                                 const FunctionRegistry* registry = nullptr,
-                                 obs::MetricRegistry* metrics = nullptr,
-                                 obs::TraceSession* trace = nullptr);
-
-// Default for SuccessorConfig::compiled_expand: true when the
-// TUPELO_COMPILED_EXPAND environment variable is set to anything but ""
-// or "0" (resolved once per process). Lets CI run whole suites over the
-// compiled Expand path without touching call sites.
-bool DefaultCompiledExpand();
 
 }  // namespace tupelo
 

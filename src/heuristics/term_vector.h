@@ -19,8 +19,8 @@ namespace tupelo {
 // triple (relation → attribute → value), not by the triple's string: a
 // flat sorted (key, count) pair of arrays replaces the former
 // std::map<std::string, double>, so distance computations become linear
-// merges over contiguous memory (SIMD-amenable, see common/simd/
-// term_merge.h) and building one stops allocating a key string per cell.
+// merges over contiguous memory (common/simd/term_merge.h) and building
+// one stops allocating a key string per cell.
 // Two distinct triples hashing to one key would merge their counts; at
 // ~2^-64 per pair that is far below any practical vector size, and a
 // collision only perturbs a heuristic estimate, never correctness.

@@ -29,10 +29,8 @@ namespace tupelo {
 //   const State& initial_state() const;
 //   bool IsGoal(const State& s) const;
 //   // Successors in a deterministic order. Unit step costs. Expand must
-//   // be a pure function of the state: the successor set (and its order)
-//   // may not depend on which execution backend produced it — e.g.
-//   // MappingProblem's interpreted vs. compiled operator application
-//   // (SuccessorConfig::compiled_expand) yield identical successors.
+//   // be a pure function of the state: the successor set and its order
+//   // depend on nothing else (no cache, thread or timing effects).
 //   std::vector<SuccessorT> Expand(const State& s) const;
 //   // Heuristic estimate h(s) ≥ 0 of the distance to a goal.
 //   int EstimateCost(const State& s) const;

@@ -12,14 +12,12 @@
 #include <utility>
 #include <vector>
 
-#include "core/mapping_problem.h"
 #include "differential_common.h"
 #include "fira/builtin_functions.h"
 #include "fira/compile.h"
 #include "fira/executor.h"
 #include "fira/expression.h"
 #include "fira/optimizer.h"
-#include "heuristics/heuristic_factory.h"
 #include "relational/io.h"
 #include "workloads/bamm.h"
 #include "workloads/flights.h"
@@ -408,35 +406,6 @@ TEST(OptimizeEquivalenceTest, ReturnsFixpointExpressionsUnchanged) {
   Result<MappingExpression> optimized = Optimize(expr);
   ASSERT_TRUE(optimized.ok()) << optimized.status();
   EXPECT_EQ(*optimized, expr);
-}
-
-// ---------------------------------------------------------------------------
-// Search integration: compiled_expand is outcome-invisible
-// ---------------------------------------------------------------------------
-
-TEST(CompiledExpandTest, ExpandOutcomesIdenticalAcrossBackends) {
-  Database source = MakeFlightsB();
-  Database target = MakeFlightsA();
-
-  auto successors_with = [&](bool compiled) {
-    SuccessorConfig config;
-    config.compiled_expand = compiled;
-    std::unique_ptr<Heuristic> h =
-        MakeHeuristic(HeuristicKind::kH1, target, SearchAlgorithm::kRbfs);
-    MappingProblem problem(source, target, std::move(h), nullptr, {},
-                           config);
-    return problem.Expand(source);
-  };
-
-  std::vector<MappingProblem::SuccessorT> interp = successors_with(false);
-  std::vector<MappingProblem::SuccessorT> compiled = successors_with(true);
-
-  ASSERT_EQ(interp.size(), compiled.size());
-  ASSERT_FALSE(interp.empty());
-  for (size_t i = 0; i < interp.size(); ++i) {
-    EXPECT_EQ(interp[i].action, compiled[i].action);
-    EXPECT_EQ(interp[i].state.ToString(), compiled[i].state.ToString());
-  }
 }
 
 }  // namespace

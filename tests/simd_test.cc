@@ -1,59 +1,56 @@
-// Differential tests for the common/simd kernel layer: every dispatched
-// kernel must agree bit-for-bit with the pinned scalar reference at every
-// CPU tier the host supports (see common/simd/dispatch.h for why that is
-// achievable, not just hoped for). The suites flip ForceLevelForTesting
-// between runs; on a pre-AVX2 host the higher tiers clamp to the detected
-// one and the comparisons degenerate to scalar-vs-scalar, which keeps the
-// test meaningful everywhere without ever being wrong.
+// Reference tests for the common/simd kernel layer: every kernel is
+// checked against a plain implementation written here — the classic
+// O(|a|·|b|) row DP for the Myers edit-distance kernels, naive loops for
+// the term-vector merges and reductions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/hash.h"
-#include "common/simd/dispatch.h"
 #include "common/simd/edit_distance.h"
 #include "common/simd/term_merge.h"
 #include "core/mapping_problem.h"
-#include "core/tupelo.h"
-#include "heuristics/term_vector.h"
 #include "heuristics/vector_heuristics.h"
 #include "relational/database.h"
-#include "relational/tnf.h"
 #include "workloads/synthetic.h"
 
 namespace tupelo {
 namespace {
 
-using simd::Level;
+// The classic single-row Levenshtein DP, byte at a time: the oracle the
+// Myers kernels are checked against.
+size_t EditDistanceDp(std::string_view a, std::string_view b) {
+  // Keep the shorter string in the DP row.
+  if (a.size() < b.size()) std::swap(a, b);
+  if (b.empty()) return a.size();
 
-// Every tier the host can actually run (clamped levels dedup away).
-std::vector<Level> HostLevels() {
-  std::vector<Level> levels = {Level::kScalar};
-  for (Level l : {Level::kSse42, Level::kAvx2}) {
-    if (simd::ForceLevelForTesting(l) == l && l != levels.back()) {
-      levels.push_back(l);
+  std::vector<size_t> row(b.size() + 1);
+  std::iota(row.begin(), row.end(), size_t{0});
+
+  for (size_t i = 1; i <= a.size(); ++i) {
+    size_t diagonal = row[0];  // row[j-1] of the previous row
+    row[0] = i;
+    for (size_t j = 1; j <= b.size(); ++j) {
+      size_t up = row[j];
+      size_t substitute = diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
+      row[j] = std::min({up + 1,          // delete from a
+                         row[j - 1] + 1,  // insert into a
+                         substitute});
+      diagonal = up;
     }
   }
-  return levels;
+  return row[b.size()];
 }
-
-// Restores the dispatch level resolved from the environment when a test
-// body returns, so forced levels cannot leak across suites.
-class LevelGuard {
- public:
-  LevelGuard() : saved_(simd::ActiveLevel()) {}
-  ~LevelGuard() { simd::ForceLevelForTesting(saved_); }
-
- private:
-  Level saved_;
-};
 
 // Deterministic splitmix64 stream; no std::random_device, so failures
 // reproduce from the seed in the test body.
@@ -120,78 +117,40 @@ std::vector<std::pair<std::string, std::string>> AdversarialPairs() {
   return pairs;
 }
 
-TEST(SimdDispatchTest, LevelNamesRoundTrip) {
-  for (Level l : {Level::kScalar, Level::kSse42, Level::kAvx2}) {
-    EXPECT_EQ(simd::ParseLevelName(simd::LevelName(l)), l);
-  }
-  EXPECT_FALSE(simd::ParseLevelName("avx512").has_value());
-  EXPECT_FALSE(simd::ParseLevelName("").has_value());
-}
-
-TEST(SimdDispatchTest, ForceClampsToDetected) {
-  LevelGuard guard;
-  const Level detected = simd::DetectedLevel();
-  const Level installed = simd::ForceLevelForTesting(Level::kAvx2);
-  EXPECT_LE(static_cast<int>(installed), static_cast<int>(detected));
-  EXPECT_EQ(simd::ActiveLevel(), installed);
-  EXPECT_EQ(simd::ForceLevelForTesting(Level::kScalar), Level::kScalar);
-}
-
-TEST(SimdEditDistanceTest, MatchesScalarOnAdversarialPairs) {
-  LevelGuard guard;
-  const auto pairs = AdversarialPairs();
-  for (Level level : HostLevels()) {
-    simd::ForceLevelForTesting(level);
-    for (const auto& [a, b] : pairs) {
-      const size_t expected = simd::EditDistanceScalar(a, b);
-      EXPECT_EQ(simd::EditDistance(a, b), expected)
-          << "level=" << simd::LevelName(level) << " |a|=" << a.size()
-          << " |b|=" << b.size();
-      EXPECT_EQ(simd::EditDistance(b, a), expected)
-          << "level=" << simd::LevelName(level) << " (swapped)";
-    }
+TEST(SimdEditDistanceTest, MatchesDpOnAdversarialPairs) {
+  for (const auto& [a, b] : AdversarialPairs()) {
+    const size_t expected = EditDistanceDp(a, b);
+    EXPECT_EQ(simd::EditDistance(a, b), expected)
+        << "|a|=" << a.size() << " |b|=" << b.size();
+    EXPECT_EQ(simd::EditDistance(b, a), expected)
+        << "(swapped) |a|=" << a.size() << " |b|=" << b.size();
   }
 }
 
-TEST(SimdEditDistanceTest, PreparedPatternMatchesScalar) {
-  LevelGuard guard;
-  const auto pairs = AdversarialPairs();
-  for (Level level : HostLevels()) {
-    simd::ForceLevelForTesting(level);
-    for (const auto& [a, b] : pairs) {
-      simd::PreparedPattern prepared(a);
-      EXPECT_EQ(prepared.Distance(b), simd::EditDistanceScalar(a, b))
-          << "level=" << simd::LevelName(level) << " |a|=" << a.size()
-          << " |b|=" << b.size();
-    }
+TEST(SimdEditDistanceTest, PreparedPatternMatchesDp) {
+  for (const auto& [a, b] : AdversarialPairs()) {
+    simd::PreparedPattern prepared(a);
+    EXPECT_EQ(prepared.Distance(b), EditDistanceDp(a, b))
+        << "|a|=" << a.size() << " |b|=" << b.size();
   }
 }
 
-TEST(SimdHashTest, AllLevelsAgree) {
-  LevelGuard guard;
+// HashBytes64 is a seeded function of the bytes and their length: lengths
+// around the 32-byte block boundary and the zero-padded tail must still
+// hash a trailing NUL apart, and the seed must change every hash.
+TEST(SimdHashTest, SeedAndLengthChangeTheHash) {
   Rng rng(0xa5a5ULL ^ 0x9021);
-  std::vector<std::string> inputs = {"", "a", "\x1e", "⊥"};
-  for (size_t len : {7u, 8u, 31u, 32u, 33u, 64u, 100u, 1000u}) {
-    inputs.push_back(RandomTnfish(rng, len));
+  for (size_t len = 0; len <= 70; ++len) {
+    const std::string input = RandomTnfish(rng, len);
+    const uint64_t h = HashBytes64(input, 42);
+    EXPECT_NE(HashBytes64(input, 43), h) << "len=" << len;
+    EXPECT_NE(HashBytes64(input + '\0', 42), h) << "len=" << len;
   }
-  for (const std::string& input : inputs) {
-    simd::ForceLevelForTesting(Level::kScalar);
-    const uint64_t expected = HashBytes64(input, 42);
-    const uint64_t chained = HashBytes64(input, expected);
-    for (Level level : HostLevels()) {
-      simd::ForceLevelForTesting(level);
-      EXPECT_EQ(HashBytes64(input, 42), expected)
-          << "level=" << simd::LevelName(level) << " len=" << input.size();
-      EXPECT_EQ(HashBytes64(input, expected), chained);
-    }
-  }
-  // Distinct seeds give distinct lanes; length is part of the hash.
   EXPECT_NE(HashBytes64("abc", 1), HashBytes64("abc", 2));
   EXPECT_NE(HashBytes64("", 1), HashBytes64(std::string(1, '\0'), 1));
 }
 
-TEST(SimdTermMergeTest, KernelsMatchScalarReference) {
-  LevelGuard guard;
+TEST(SimdTermMergeTest, KernelsMatchNaiveLoops) {
   Rng rng(77);
   // Sorted unique key arrays with partial overlap, integer counts.
   std::vector<uint64_t> xk, yk;
@@ -210,87 +169,39 @@ TEST(SimdTermMergeTest, KernelsMatchScalarReference) {
       yc.push_back(static_cast<double>(1 + rng.Below(9)));
     }
   }
-  simd::ForceLevelForTesting(Level::kScalar);
-  const double sum = simd::CountSum(xc.data(), xc.size());
-  const double sum_sq = simd::CountSumSquares(xc.data(), xc.size());
-  const double dot = simd::DotMerge(xk.data(), xc.data(), xk.size(),
-                                    yk.data(), yc.data(), yk.size());
-  const double min_sum = simd::MinSumMerge(xk.data(), xc.data(), xk.size(),
-                                           yk.data(), yc.data(), yk.size());
-  for (Level level : HostLevels()) {
-    simd::ForceLevelForTesting(level);
-    EXPECT_EQ(simd::CountSum(xc.data(), xc.size()), sum);
-    EXPECT_EQ(simd::CountSumSquares(xc.data(), xc.size()), sum_sq);
-    EXPECT_EQ(simd::DotMerge(xk.data(), xc.data(), xk.size(), yk.data(),
-                             yc.data(), yk.size()),
-              dot);
-    EXPECT_EQ(simd::MinSumMerge(xk.data(), xc.data(), xk.size(), yk.data(),
-                                yc.data(), yk.size()),
-              min_sum);
-    for (uint64_t probe : {uint64_t{0}, xk.front(), xk.back(),
-                           xk[xk.size() / 2] + 1, key + 100}) {
-      size_t i = 0;
-      while (i < xk.size() && xk[i] < probe) ++i;
-      EXPECT_EQ(simd::LowerBoundKey(xk.data(), xk.size(), probe), i)
-          << "level=" << simd::LevelName(level) << " probe=" << probe;
+  // Prefixes of x from empty to full, short spans and long ones.
+  for (size_t nx : {size_t{0}, size_t{1}, size_t{2}, size_t{5}, size_t{31},
+                    size_t{32}, size_t{33}, size_t{100}, xk.size()}) {
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    double dot = 0.0;
+    double min_sum = 0.0;
+    for (size_t i = 0; i < nx; ++i) {
+      sum += xc[i];
+      sum_sq += xc[i] * xc[i];
+      for (size_t j = 0; j < yk.size(); ++j) {
+        if (xk[i] == yk[j]) {
+          dot += xc[i] * yc[j];
+          min_sum += std::min(xc[i], yc[j]);
+        }
+      }
     }
+    EXPECT_EQ(simd::CountSum(xc.data(), nx), sum) << "nx=" << nx;
+    EXPECT_EQ(simd::CountSumSquares(xc.data(), nx), sum_sq) << "nx=" << nx;
+    EXPECT_EQ(simd::DotMerge(xk.data(), xc.data(), nx, yk.data(), yc.data(),
+                             yk.size()),
+              dot)
+        << "nx=" << nx;
+    EXPECT_EQ(simd::MinSumMerge(xk.data(), xc.data(), nx, yk.data(),
+                                yc.data(), yk.size()),
+              min_sum)
+        << "nx=" << nx;
   }
-}
-
-TEST(SimdTermVectorTest, DistancesBitIdenticalAcrossLevels) {
-  LevelGuard guard;
-  SyntheticMatchingPair pair = MakeSyntheticMatchingPair(6);
-  simd::ForceLevelForTesting(Level::kScalar);
-  const TermVector sx = TermVector::FromDatabase(pair.source);
-  const TermVector sy = TermVector::FromDatabase(pair.target);
-  const double euclid = TermVector::EuclideanDistance(sx, sy);
-  const double norm_euclid = TermVector::NormalizedEuclideanDistance(sx, sy);
-  const double cosine = TermVector::CosineSimilarity(sx, sy);
-  const double jaccard = TermVector::JaccardSimilarity(sx, sy);
-  for (Level level : HostLevels()) {
-    simd::ForceLevelForTesting(level);
-    const TermVector x = TermVector::FromDatabase(pair.source);
-    const TermVector y = TermVector::FromDatabase(pair.target);
-    ASSERT_EQ(x.keys(), sx.keys()) << simd::LevelName(level);
-    ASSERT_EQ(x.counts(), sx.counts()) << simd::LevelName(level);
-    EXPECT_EQ(TermVector::EuclideanDistance(x, y), euclid);
-    EXPECT_EQ(TermVector::NormalizedEuclideanDistance(x, y), norm_euclid);
-    EXPECT_EQ(TermVector::CosineSimilarity(x, y), cosine);
-    EXPECT_EQ(TermVector::JaccardSimilarity(x, y), jaccard);
-  }
-}
-
-// End-to-end parity: a discovery run with the levenshtein heuristic (the
-// heaviest kernel consumer — TNF encoding, prepared-pattern Myers,
-// batched estimation through the beam) must produce the same outcome on
-// the pinned scalar path and the dispatched one.
-TEST(SimdSearchParityTest, BeamDiscoveryOutcomeBitIdentical) {
-  LevelGuard guard;
-  SyntheticMatchingPair pair = MakeSyntheticMatchingPair(4);
-  TupeloOptions options;
-  options.algorithm = SearchAlgorithm::kBeam;
-  options.heuristic = HeuristicKind::kLevenshtein;
-  options.limits.max_states = 20000;
-
-  auto run = [&] { return DiscoverMapping(pair.source, pair.target, options); };
-
-  simd::ForceLevelForTesting(Level::kScalar);
-  Result<TupeloResult> scalar = run();
-  ASSERT_TRUE(scalar.ok()) << scalar.status().message();
-
-  for (Level level : HostLevels()) {
-    simd::ForceLevelForTesting(level);
-    Result<TupeloResult> dispatched = run();
-    ASSERT_TRUE(dispatched.ok()) << dispatched.status().message();
-    EXPECT_EQ(dispatched->found, scalar->found) << simd::LevelName(level);
-    EXPECT_EQ(dispatched->stop_reason, scalar->stop_reason);
-    EXPECT_EQ(dispatched->stats.states_examined,
-              scalar->stats.states_examined);
-    EXPECT_EQ(dispatched->stats.states_generated,
-              scalar->stats.states_generated);
-    EXPECT_EQ(dispatched->stats.solution_cost, scalar->stats.solution_cost);
-    EXPECT_EQ(dispatched->mapping.ToScript(), scalar->mapping.ToScript());
-    EXPECT_EQ(dispatched->partial_h, scalar->partial_h);
+  for (uint64_t probe = 0; probe <= key + 1; ++probe) {
+    size_t i = 0;
+    while (i < xk.size() && xk[i] < probe) ++i;
+    EXPECT_EQ(simd::LowerBoundKey(xk.data(), xk.size(), probe), i)
+        << "probe=" << probe;
   }
 }
 
@@ -350,17 +261,14 @@ TEST(EstimateBatchTest, MatchesSequentialEstimates) {
   EXPECT_EQ(warm, expected);
 }
 
-// TSan section: the kernels and the once-resolved dispatch state hammered
-// from several threads at once. All reads after the first resolution are
-// relaxed atomic loads; the workers recompute known answers so any torn
-// dispatch would also surface as a value mismatch.
+// TSan section: the kernels called from several threads at once, one
+// shared PreparedPattern among them. The workers recompute known answers,
+// so a race would also surface as a value mismatch.
 TEST(SimdConcurrencyTest, ConcurrentKernelsAreRaceFree) {
-  LevelGuard guard;
-  simd::ForceLevelForTesting(simd::DetectedLevel());
   Rng seed_rng(11);
   const std::string a = RandomTnfish(seed_rng, 700);
   const std::string b = RandomTnfish(seed_rng, 650);
-  const size_t expected_dist = simd::EditDistanceScalar(a, b);
+  const size_t expected_dist = EditDistanceDp(a, b);
   const uint64_t expected_hash = HashBytes64(a, 9);
   const simd::PreparedPattern prepared(a);
 
@@ -371,7 +279,6 @@ TEST(SimdConcurrencyTest, ConcurrentKernelsAreRaceFree) {
         ASSERT_EQ(simd::EditDistance(a, b), expected_dist);
         ASSERT_EQ(prepared.Distance(b), expected_dist);
         ASSERT_EQ(HashBytes64(a, 9), expected_hash);
-        ASSERT_EQ(simd::ActiveLevel(), simd::DetectedLevel());
         (void)t;
       }
     });

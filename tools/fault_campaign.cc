@@ -38,28 +38,17 @@
 //      + supervision, then a fault-free resume; invariants only (clean
 //      statuses + checkpoint integrity)
 //
-// Compiled-executor families (the fused CompiledExecutor of
-// fira/compile.h driving Expand via SuccessorConfig::compiled_expand;
-// the backend switch is outcome-identical by contract, so every
-// invariant above must hold unchanged under it):
-//   8  compiled kill-and-resume: family 0's crash-equivalence with
-//      compiled_expand on for the baseline, the killed run, and the
-//      resume
-//   9  compiled poison: family 5's throwing-fault quarantine with
-//      compiled_expand on — the injector seam sits below the fused
-//      loops, so thrown faults must still be absorbed cleanly
-//
 // Service-level families (the discovery service of serve/job_manager.h;
 // in-process JobManager trials — the full-process kill -9 variant runs
 // in serve_loadgen and the serve_smoke ctest):
-//   10 serve-crash: submit a batch of jobs (some unsatisfiable so they
+//   8  serve-crash: submit a batch of jobs (some unsatisfiable so they
 //      run their whole deadline), preempt the manager mid-flight, then
 //      recover a fresh manager on the same journal directory. Graceful
 //      preemption and kill -9 share one recovery path (in-flight jobs
 //      keep a `.job` with no `.done`), so this asserts the crash
 //      contract: every accepted job reaches a terminal state after the
 //      restart, none with a Discover-level error
-//   11 serve-overload: a one-worker manager with a tiny admission queue
+//   9  serve-overload: a one-worker manager with a tiny admission queue
 //      under a submit burst. Sheds must be typed (accepted=false with a
 //      positive Retry-After hint), the queue must stay bounded, and
 //      every accepted job must still reach a terminal state — never
@@ -77,9 +66,11 @@
 // Every trial also records into a small per-trial TraceSession with the
 // flight recorder armed: a trial that is killed, stops for a bad reason,
 // or absorbs injected faults leaves a binary last-events dump
-// (fault_campaign_<seed>_<trial>.flight, next to the campaign JSON when
-// --json= is given), and the campaign immediately reloads each dump
-// through ParseFlightRecord — an unparseable dump is itself a violation.
+// (fault_campaign_<seed>_<trial>.flight), and the campaign immediately
+// reloads each dump through ParseFlightRecord — an unparseable dump is
+// itself a violation. With --json= the dumps stay next to the report,
+// whose per-trial trace_path fields name them; without it they go to a
+// fresh temp directory that is removed when the campaign ends.
 //
 // Exits non-zero if any invariant is violated; the --json report follows
 // the schema-6 bench layout (scripts/check_bench_json.py) with one run
@@ -93,6 +84,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -192,12 +184,12 @@ constexpr SearchAlgorithm kAlgorithms[] = {
     SearchAlgorithm::kGreedy, SearchAlgorithm::kBeam,
 };
 
-constexpr int kFamilies = 12;
+constexpr int kFamilies = 10;
 constexpr const char* kFamilyNames[kFamilies] = {
-    "kill-resume",      "probabilistic-faults", "every-nth-faults",
-    "mixed-kill",       "stall",                "poison",
-    "memory-pressure",  "mixed-chaos",          "compiled-kill-resume",
-    "compiled-poison",  "serve-crash",          "serve-overload",
+    "kill-resume",     "probabilistic-faults", "every-nth-faults",
+    "mixed-kill",      "stall",                "poison",
+    "memory-pressure", "mixed-chaos",          "serve-crash",
+    "serve-overload",
 };
 
 // Perturbs every tuple value (a1 → z1, ...) so no mapping exists: the
@@ -275,11 +267,23 @@ int main(int argc, char** argv) {
   bench::BenchReport report("fault_campaign", args);
   report.BeginPanel("campaign");
 
-  // Flight dumps land next to the campaign JSON (in the cwd when no
-  // --json= was given).
+  // Flight dumps land next to the campaign JSON; without --json= they go
+  // to a fresh temp directory, removed once every dump is self-checked.
   std::string flight_dir;
-  if (size_t slash = args.json_path.rfind('/');
-      !args.json_path.empty() && slash != std::string::npos) {
+  std::string temp_flight_dir;
+  if (args.json_path.empty() && !list_only) {
+    std::error_code ec;
+    std::string dir_template =
+        (std::filesystem::temp_directory_path(ec) / "fault_campaign_XXXXXX")
+            .string();
+    if (ec || ::mkdtemp(dir_template.data()) == nullptr) {
+      std::fprintf(stderr, "fault_campaign: cannot create a temp directory\n");
+      return 1;
+    }
+    temp_flight_dir = dir_template;
+    flight_dir = temp_flight_dir + "/";
+  } else if (size_t slash = args.json_path.rfind('/');
+             slash != std::string::npos) {
     flight_dir = args.json_path.substr(0, slash + 1);
   }
 
@@ -325,13 +329,7 @@ int main(int argc, char** argv) {
     injector.Disarm();
     TrialRun final_run;
 
-    // Families 8/9 rerun the kill-resume and poison bodies with the fused
-    // CompiledExecutor driving Expand; the backend is outcome-identical by
-    // contract, so the trial logic is shared verbatim with families 0/5.
-    const int behavior = family == 8 ? 0 : family == 9 ? 5 : family;
-    if (family == 8 || family == 9) base.successors.compiled_expand = true;
-
-    if (behavior == 0) {
+    if (family == 0) {
       // Crash-equivalence: baseline, then kill at a checkpoint boundary,
       // then resume; the resumed run must match the baseline exactly.
       TrialRun baseline = RunOnce(pair, base);
@@ -381,14 +379,14 @@ int main(int argc, char** argv) {
                    std::string(StopReasonName(final_run.result.stop_reason)));
       }
       std::remove(ckpt_path.c_str());
-    } else if (behavior == 1 || behavior == 2) {
+    } else if (family == 1 || family == 2) {
       // Operator faults only: discovery must degrade to a clean outcome
       // (found with possibly-failed verification, or a conclusive /
       // budget stop) — never crash, never a Discover-level error.
       Status fault = rng.Below(2) == 0
                          ? Status::Internal("campaign fault")
                          : Status::ResourceExhausted("campaign fault");
-      if (behavior == 1) {
+      if (family == 1) {
         injector.ArmProbabilistic("*", std::move(fault),
                                   0.05 + 0.3 * rng.Unit(), rng.Next());
       } else {
@@ -405,7 +403,7 @@ int main(int argc, char** argv) {
           !final_run.result.verify_status.ok()) {
         campaign.Violation(t, "verified=true with a failed verify_status");
       }
-    } else if (behavior == 3) {
+    } else if (family == 3) {
       // Mixed: operator faults while checkpointing with a kill, then a
       // fault-free resume. Faults perturb the explored space, so only the
       // invariants are asserted: clean statuses and checkpoint integrity.
@@ -457,7 +455,7 @@ int main(int argc, char** argv) {
         final_run = std::move(interrupted);
       }
       std::remove(ckpt_path.c_str());
-    } else if (behavior == 4) {
+    } else if (family == 4) {
       // Transient stall: one injected operator delay (~4-7x the stall
       // window) wedges the rung; the watchdog must preempt it and the
       // fault-free retry must reproduce the clean baseline exactly.
@@ -494,7 +492,7 @@ int main(int argc, char** argv) {
                    " vs recovered " +
                    std::string(StopReasonName(final_run.result.stop_reason)));
       }
-    } else if (behavior == 5) {
+    } else if (family == 5) {
       // Poison states: throwing operator faults under supervision. The
       // quarantine must absorb every escaped exception; the run must end
       // in a clean status whatever the outcome.
@@ -521,7 +519,7 @@ int main(int argc, char** argv) {
           !final_run.result.verify_status.ok()) {
         campaign.Violation(t, "verified=true with a failed verify_status");
       }
-    } else if (behavior == 6) {
+    } else if (family == 6) {
       // Memory pressure: a tiny node bound under supervision. Staged
       // degradation (cache trims, width trims) and/or a clean memory
       // stop are all acceptable; a crash or error status is not.
@@ -539,7 +537,7 @@ int main(int argc, char** argv) {
           !final_run.result.verify_status.ok()) {
         campaign.Violation(t, "verified=true with a failed verify_status");
       }
-    } else if (behavior == 7) {
+    } else if (family == 7) {
       // Mixed chaos: a random fault kind (throwing, delaying, or status)
       // while checkpointing with a kill under supervision, then a
       // fault-free supervised resume. Invariants only: clean statuses
@@ -604,7 +602,7 @@ int main(int argc, char** argv) {
       std::remove(ckpt_path.c_str());
     }
 
-    if (behavior == 10) {
+    if (family == 8) {
       // serve-crash: preempt a live JobManager mid-flight, recover a
       // fresh one on the same journal, and require every accepted job to
       // reach a clean terminal state. Preemption leaves in-flight jobs
@@ -693,7 +691,7 @@ int main(int argc, char** argv) {
       ::rmdir(jdir.c_str());
     }
 
-    if (behavior == 11) {
+    if (family == 9) {
       // serve-overload: a one-worker manager with a two-deep admission
       // queue under a burst of deadline-long jobs. Sheds must be typed
       // with a positive Retry-After; accepted jobs must all finish.
@@ -797,6 +795,10 @@ int main(int argc, char** argv) {
     }
   }
   SetFaultInjector(nullptr);
+  if (!temp_flight_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::remove_all(temp_flight_dir, ec);
+  }
 
   if (list_only) return 0;
 

@@ -24,7 +24,7 @@
 // share of clients sleep between stream polls (a slow consumer must
 // never stall the server or other tenants).
 //
-// The --json report is schema_version 10, harness "serve": a "jobs"
+// The --json report is schema_version 11, harness "serve": a "jobs"
 // panel with one run per submitted job (accepted or shed) and a
 // "summary" panel with throughput, p50/p99 latency of accepted jobs,
 // shed rate, jobs/sec, resume counts and the violation count.
@@ -569,7 +569,7 @@ int main(int argc, char** argv) {
               kills.load(), static_cast<unsigned long long>(jobs_recovered),
               p50, p99, max_queue_depth.load(), violations);
 
-  // ── Report (schema 10, harness "serve") ────────────────────────────
+  // ── Report (schema 11, harness "serve") ────────────────────────────
   bench::BenchReport report("serve", bench_args);
   report.BeginPanel("jobs");
   for (const JobOutcome& out : outcomes) {
