@@ -54,16 +54,13 @@ int main(int argc, char** argv) {
       SearchOutcome<Op> outcome;
       switch (algo) {
         case SearchAlgorithm::kAStar:
-          outcome = AStarSearch(problem, limits, nullptr, metrics,
-                                nullptr, trace.session());
+          outcome = AStarSearch(problem, limits, {metrics, trace.session()});
           break;
         case SearchAlgorithm::kIda:
-          outcome = IdaStarSearch(problem, limits, nullptr, metrics,
-                                  nullptr, trace.session());
+          outcome = IdaStarSearch(problem, limits, {metrics, trace.session()});
           break;
         case SearchAlgorithm::kRbfs:
-          outcome = RbfsSearch(problem, limits, nullptr, metrics,
-                               nullptr, trace.session());
+          outcome = RbfsSearch(problem, limits, {metrics, trace.session()});
           break;
         default:
           continue;  // memory comparison covers the three paper algorithms
@@ -74,7 +71,8 @@ int main(int argc, char** argv) {
       if (report.enabled()) {
         RunResult r;
         r.found = outcome.found;
-        r.cutoff = outcome.budget_exhausted;
+        r.cutoff = IsResourceStop(outcome.stop);
+        r.stop_reason = std::string(StopReasonName(outcome.stop));
         r.states = outcome.stats.states_examined;
         r.states_generated = outcome.stats.states_generated;
         r.iterations = outcome.stats.iterations;

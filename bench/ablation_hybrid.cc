@@ -106,12 +106,12 @@ int main(int argc, char** argv) {
       limits.max_states = args.budget;
       limits.max_depth = 16;
       auto start = std::chrono::steady_clock::now();
-      SearchOutcome<Op> outcome = RbfsSearch(problem, limits, nullptr,
-                                              metrics, nullptr,
-                                              trace.session());
+      SearchOutcome<Op> outcome =
+          RbfsSearch(problem, limits, {metrics, trace.session()});
       RunResult r;
       r.found = outcome.found;
-      r.cutoff = outcome.budget_exhausted;
+      r.cutoff = IsResourceStop(outcome.stop);
+      r.stop_reason = std::string(StopReasonName(outcome.stop));
       r.states = outcome.stats.states_examined;
       r.states_generated = outcome.stats.states_generated;
       r.iterations = outcome.stats.iterations;

@@ -37,7 +37,7 @@ RunResult Measure(const Database& source, const Database& target,
     std::exit(1);
   }
   out.found = result->found;
-  out.cutoff = result->budget_exhausted;
+  out.cutoff = IsResourceStop(result->stop_reason);
   out.stop_reason = std::string(StopReasonName(result->stop_reason));
   out.verified = result->verified;
   if (!result->verify_status.ok()) {
@@ -55,9 +55,10 @@ RunResult Measure(const Database& source, const Database& target,
 }
 
 std::string FormatStates(const RunResult& r, uint64_t budget) {
-  if (r.cutoff || (!r.found && r.states >= budget)) {
+  if (r.stop_reason == "states" || (!r.found && r.states >= budget)) {
     return ">" + std::to_string(budget) + "*";
   }
+  if (r.cutoff) return r.stop_reason + "@" + std::to_string(r.states);
   if (!r.found) return "fail";
   return std::to_string(r.states);
 }

@@ -41,7 +41,9 @@ RunResult Measure(const Database& source, const Database& target,
                   const std::vector<SemanticCorrespondence>& corrs = {},
                   obs::MetricRegistry* metrics = nullptr);
 
-// "123", or ">250000*" when the run hit the state budget.
+// "123"; ">250000*" when the run hit the state budget; "<stop>@<states>"
+// (e.g. "depth@97") when another resource limit stopped it; "fail" when
+// the search ended without a mapping.
 std::string FormatStates(const RunResult& r, uint64_t budget);
 
 // Prints a row of cells padded to `width`.

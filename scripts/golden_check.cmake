@@ -6,7 +6,7 @@
 # Expected -D variables:
 #   HARNESS - path to the harness binary
 #   ARGS    - its arguments, space-separated (e.g. "--quick --budget=20000")
-#   GOLDEN  - path to tests/golden/<harness>.txt
+#   GOLDEN  - path to tests/golden/<name>.txt
 #   OUT     - where to write the actual stdout (left behind for diffing)
 #
 # To regenerate after an intended behaviour change, run the harness with

@@ -100,7 +100,7 @@ class ThreadPool {
 //     pool.Submit([&, &item] { Process(item); wg.Done(); });
 //   wg.Wait();
 //
-// The level barrier of the parallel beam search is exactly this shape.
+// BeamSearch's level barrier over a pool is exactly this shape.
 // Add may be called again after Wait returns (the group is reusable).
 class WaitGroup {
  public:

@@ -67,7 +67,7 @@ struct SuccessorConfig {
 //
 // Thread safety: the const query surface (IsGoal/Expand/EstimateCost/
 // StateKey/StateKey128/AuxMemoryNodes) may be called from several threads
-// at once — the parallel beam fans Expand+EstimateCost out across a pool,
+// at once — BeamSearch fans Expand+EstimateCost out across a pool,
 // and concurrent portfolio rungs each drive their own problem. The
 // heuristic itself is stateless; the estimate cache is sharded by key and
 // the expand transposition cache sits under one mutex (successor

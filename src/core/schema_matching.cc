@@ -14,7 +14,6 @@ Result<SchemaMatch> MatchSchemas(const Database& source,
   SchemaMatch match;
   match.found = result.found;
   match.stop_reason = result.stop_reason;
-  match.budget_exhausted = result.budget_exhausted;
   match.stats = result.stats;
   match.mapping = result.mapping;
   if (!result.found) return match;

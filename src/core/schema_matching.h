@@ -23,10 +23,8 @@ struct SchemaMatch {
   std::vector<std::pair<std::string, std::string>> relation_matches;
 
   bool found = false;
-  // Why the underlying discovery stopped (see search/search_types.h);
-  // budget_exhausted mirrors IsResourceStop(stop_reason).
+  // Why the underlying discovery stopped (see search/search_types.h).
   StopReason stop_reason = StopReason::kExhausted;
-  bool budget_exhausted = false;
   MappingExpression mapping;
   SearchStats stats;
 };

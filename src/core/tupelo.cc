@@ -16,7 +16,6 @@
 #include "search/beam.h"
 #include "search/greedy.h"
 #include "search/ida_star.h"
-#include "search/parallel_beam.h"
 #include "search/rbfs.h"
 
 namespace tupelo {
@@ -58,38 +57,38 @@ uint64_t RungSlice(uint64_t remaining, double share, bool last) {
   return slice == 0 && remaining > 0 ? 1 : slice;
 }
 
-// Dispatches one rung's algorithm. Beam rungs go through the parallel
-// runner, which degrades to plain BeamSearch when `pool` is null. `seed`
-// (nullable) resumes the algorithm from a checkpointed core. Each rung
-// shows up on the trace as a "rung.<algo>" driver span (literal names:
-// the session records only the name pointer).
+// Dispatches one rung's algorithm. Beam rungs fan their levels out over
+// `pool` when it has more than one worker. `seed` (nullable) resumes the
+// algorithm from a checkpointed core. Each rung shows up on the trace as
+// a "rung.<algo>" driver span (literal names: the session records only
+// the name pointer).
 SearchOutcome<Op> RunRung(SearchAlgorithm algorithm,
                           const MappingProblem& problem, size_t beam_width,
                           ThreadPool* pool, const SearchLimits& limits,
                           obs::MetricRegistry* metrics,
                           const SearchSeed<Database, Op>* seed = nullptr,
                           obs::TraceSession* trace = nullptr) {
+  const SearchContext<Database, Op> ctx{metrics, trace, seed};
   switch (algorithm) {
     case SearchAlgorithm::kIda: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.ida");
-      return IdaStarSearch(problem, limits, nullptr, metrics, seed, trace);
+      return IdaStarSearch(problem, limits, ctx);
     }
     case SearchAlgorithm::kRbfs: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.rbfs");
-      return RbfsSearch(problem, limits, nullptr, metrics, seed, trace);
+      return RbfsSearch(problem, limits, ctx);
     }
     case SearchAlgorithm::kAStar: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.astar");
-      return AStarSearch(problem, limits, nullptr, metrics, seed, trace);
+      return AStarSearch(problem, limits, ctx);
     }
     case SearchAlgorithm::kGreedy: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.greedy");
-      return GreedySearch(problem, limits, nullptr, metrics, seed, trace);
+      return GreedySearch(problem, limits, ctx);
     }
     case SearchAlgorithm::kBeam: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.beam");
-      return ParallelBeamSearch(problem, beam_width, pool, limits, nullptr,
-                                metrics, seed, trace);
+      return BeamSearch(problem, beam_width, limits, ctx, pool);
     }
   }
   return {};
@@ -805,7 +804,6 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
     }
   }
 
-  result.budget_exhausted = IsResourceStop(result.stop_reason);
   result.partial_mapping = MappingExpression(std::move(best_partial));
   result.partial_h = best_partial_h;
   if (result.found) {

@@ -67,9 +67,9 @@ struct TupeloOptions {
   // governor.* metrics.
   std::vector<DegradationRung> ladder;
   // Worker threads for the parallel search runtime. With threads > 1,
-  // Discover owns a ThreadPool for the call and beam rungs run as
-  // ParallelBeamSearch over it (bit-identical results to threads == 1;
-  // see search/parallel_beam.h). 0 is treated as 1.
+  // Discover owns a ThreadPool for the call and beam rungs fan each
+  // level's Phase A out over it (same outcome as threads == 1; see
+  // search/beam.h). 0 is treated as 1.
   size_t threads = 1;
   // Externally owned ThreadPool shared across Discover calls (nullable;
   // must outlive the call). When set it overrides `threads`: beam rungs
@@ -183,8 +183,6 @@ struct TupeloResult {
   // stop reason (kExhausted is conclusive, everything else means the
   // resource governor cut the run short).
   StopReason stop_reason = StopReason::kExhausted;
-  // Compatibility mirror of IsResourceStop(stop_reason).
-  bool budget_exhausted = false;
   // The discovered executable mapping expression (empty unless found).
   MappingExpression mapping;
   // Anytime result: the prefix expression reaching the heuristically

@@ -29,22 +29,20 @@ namespace tupelo {
 template <typename P>
 SearchOutcome<typename P::Action> AStarSearch(
     const P& problem, const SearchLimits& limits = SearchLimits(),
-    SearchTracer* tracer = nullptr, obs::MetricRegistry* metrics = nullptr,
-    const SearchSeed<typename P::State, typename P::Action>* seed = nullptr,
-    obs::TraceSession* trace = nullptr) {
+    const SearchContext<typename P::State, typename P::Action>& ctx = {}) {
   using Action = typename P::Action;
   using State = typename P::State;
 
   SearchOutcome<Action> outcome;
-  SearchInstrumentation instr(metrics);
-  SearchTraceEmitter emit(tracer, trace);
-  obs::TraceSpan search_span(trace, obs::TraceCategory::kSearch,
+  SearchInstrumentation instr(ctx.metrics);
+  SearchTraceEmitter emit(ctx.trace);
+  obs::TraceSpan search_span(ctx.trace, obs::TraceCategory::kSearch,
                              "search.astar");
   auto* sink = ResolveCheckpointSink<State, Action>(limits);
 
   struct Node {
     State state;
-    Fp128 key;  // full 128-bit identity; key.lo feeds traces/instruments
+    Fp128 key;  // full 128-bit identity; key.lo feeds the instruments
     int64_t g;
     // Parent chain for path reconstruction.
     std::shared_ptr<const Node> parent;
@@ -86,19 +84,19 @@ SearchOutcome<typename P::Action> AStarSearch(
     return path;
   };
 
-  if (seed != nullptr && !seed->open.empty()) {
+  if (ctx.seed != nullptr && !ctx.seed->open.empty()) {
     // Resume: rebuild the open list from checkpointed paths. Each entry
     // becomes its own chain root carrying its path as the prefix.
-    seq = seed->next_seq;
-    for (const auto& entry : seed->open) {
+    seq = ctx.seed->next_seq;
+    for (const auto& entry : ctx.seed->open) {
       Fp128 key = StateFingerprint(problem, entry.state);
       int64_t g = static_cast<int64_t>(entry.path.size());
       NodePtr n(new Node{entry.state, key, g, nullptr, Action{}, entry.path});
       int64_t f = g + problem.EstimateCost(entry.state);
       open.push(QueueEntry{f, g, entry.seq, std::move(n)});
     }
-    best_g.reserve(seed->closed.size());
-    for (const auto& [fp, g] : seed->closed) best_g[fp] = g;
+    best_g.reserve(ctx.seed->closed.size());
+    for (const auto& [fp, g] : ctx.seed->closed) best_g[fp] = g;
   } else {
     const State& root_state = problem.initial_state();
     NodePtr root(new Node{root_state, StateFingerprint(problem, root_state), 0,
@@ -155,7 +153,6 @@ SearchOutcome<typename P::Action> AStarSearch(
     if (std::optional<StopReason> stop = guard.Check(
             outcome.stats.states_examined, node->g, memory_nodes)) {
       outcome.stop = *stop;
-      outcome.budget_exhausted = IsResourceStop(*stop);
       if (best_node != nullptr) outcome.best_path = reconstruct(best_node.get());
       return outcome;
     }
@@ -166,14 +163,10 @@ SearchOutcome<typename P::Action> AStarSearch(
       outcome.best_h = h;
       best_node = node;
     }
-    if (emit.enabled()) {
-      emit.Visit(node->key.lo, static_cast<int>(node->g), entry.f);
-    }
+    emit.Visit(static_cast<int>(node->g), entry.f);
 
     if (problem.IsGoal(node->state)) {
-      if (emit.enabled()) {
-        emit.Goal(node->key.lo, static_cast<int>(node->g), entry.f);
-      }
+      emit.Goal(static_cast<int>(node->g));
       outcome.found = true;
       outcome.stop = StopReason::kFound;
       outcome.stats.solution_cost = static_cast<int>(node->g);

@@ -34,16 +34,14 @@ namespace tupelo {
 template <typename P>
 SearchOutcome<typename P::Action> GreedySearch(
     const P& problem, const SearchLimits& limits = SearchLimits(),
-    SearchTracer* tracer = nullptr, obs::MetricRegistry* metrics = nullptr,
-    const SearchSeed<typename P::State, typename P::Action>* seed = nullptr,
-    obs::TraceSession* trace = nullptr) {
+    const SearchContext<typename P::State, typename P::Action>& ctx = {}) {
   using Action = typename P::Action;
   using State = typename P::State;
 
   SearchOutcome<Action> outcome;
-  SearchInstrumentation instr(metrics);
-  SearchTraceEmitter emit(tracer, trace);
-  obs::TraceSpan search_span(trace, obs::TraceCategory::kSearch,
+  SearchInstrumentation instr(ctx.metrics);
+  SearchTraceEmitter emit(ctx.trace);
+  obs::TraceSpan search_span(ctx.trace, obs::TraceCategory::kSearch,
                              "search.greedy");
   auto* sink = ResolveCheckpointSink<State, Action>(limits);
 
@@ -86,18 +84,18 @@ SearchOutcome<typename P::Action> GreedySearch(
     return path;
   };
 
-  if (seed != nullptr && !seed->open.empty()) {
+  if (ctx.seed != nullptr && !ctx.seed->open.empty()) {
     // Resume: rebuild the open list from checkpointed paths. Each entry
     // becomes its own chain root carrying its path as the prefix.
-    seq = seed->next_seq;
-    for (const auto& entry : seed->open) {
+    seq = ctx.seed->next_seq;
+    for (const auto& entry : ctx.seed->open) {
       int64_t g = static_cast<int64_t>(entry.path.size());
       NodePtr n(new Node{entry.state, g, nullptr, Action{}, entry.path});
       int64_t h = problem.EstimateCost(entry.state);
       open.push(QueueEntry{h, entry.seq, std::move(n)});
     }
-    seen.reserve(seed->closed.size());
-    for (const auto& [fp, g] : seed->closed) seen.insert(fp);
+    seen.reserve(ctx.seed->closed.size());
+    for (const auto& [fp, g] : ctx.seed->closed) seen.insert(fp);
   } else {
     const State& root_state = problem.initial_state();
     NodePtr root(new Node{root_state, 0, nullptr, Action{}, {}});
@@ -139,7 +137,6 @@ SearchOutcome<typename P::Action> GreedySearch(
     if (std::optional<StopReason> stop =
             guard.Check(outcome.stats.states_examined, node->g, nodes)) {
       outcome.stop = *stop;
-      outcome.budget_exhausted = IsResourceStop(*stop);
       if (best_node != nullptr) outcome.best_path = reconstruct(best_node.get());
       return outcome;
     }
@@ -149,16 +146,10 @@ SearchOutcome<typename P::Action> GreedySearch(
       outcome.best_h = static_cast<int>(entry.h);
       best_node = node;
     }
-    if (emit.enabled()) {
-      emit.Visit(problem.StateKey(node->state), static_cast<int>(node->g),
-                 entry.h);
-    }
+    emit.Visit(static_cast<int>(node->g), entry.h);
 
     if (problem.IsGoal(node->state)) {
-      if (emit.enabled()) {
-        emit.Goal(problem.StateKey(node->state), static_cast<int>(node->g),
-                  entry.h);
-      }
+      emit.Goal(static_cast<int>(node->g));
       outcome.found = true;
       outcome.stop = StopReason::kFound;
       outcome.stats.solution_cost = static_cast<int>(node->g);

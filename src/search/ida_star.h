@@ -22,9 +22,6 @@ namespace tupelo {
 // path). Keying on the 64-bit StateKey would let a collision alias two
 // distinct path states and wrongly prune a reachable successor.
 //
-// `metrics` (nullable, default off) feeds the search.* instruments of
-// search/instrumentation.h.
-//
 // Checkpointing: a snapshot carries only progress counters and the
 // current f-bound — the DFS stack is not serialized. Resume restarts the
 // probe at the checkpointed bound; because the DFS is deterministic, the
@@ -33,16 +30,14 @@ namespace tupelo {
 template <typename P>
 SearchOutcome<typename P::Action> IdaStarSearch(
     const P& problem, const SearchLimits& limits = SearchLimits(),
-    SearchTracer* tracer = nullptr, obs::MetricRegistry* metrics = nullptr,
-    const SearchSeed<typename P::State, typename P::Action>* seed = nullptr,
-    obs::TraceSession* trace = nullptr) {
+    const SearchContext<typename P::State, typename P::Action>& ctx = {}) {
   using Action = typename P::Action;
   using State = typename P::State;
 
   SearchOutcome<Action> outcome;
-  SearchInstrumentation instr(metrics);
-  SearchTraceEmitter emit(tracer, trace);
-  obs::TraceSpan search_span(trace, obs::TraceCategory::kSearch,
+  SearchInstrumentation instr(ctx.metrics);
+  SearchTraceEmitter emit(ctx.trace);
+  obs::TraceSpan search_span(ctx.trace, obs::TraceCategory::kSearch,
                              "search.ida");
   auto* sink = ResolveCheckpointSink<State, Action>(limits);
 
@@ -91,17 +86,13 @@ SearchOutcome<typename P::Action> IdaStarSearch(
         out.best_h = h;
         out.best_path = path_actions;
       }
-      if (emit.enabled()) {
-        emit.Visit(problem.StateKey(state), static_cast<int>(g), f);
-      }
+      emit.Visit(static_cast<int>(g), f);
       if (f > bound) {
         next_bound = std::min(next_bound, f);
         return Verdict::kNotFound;
       }
       if (problem.IsGoal(state)) {
-        if (emit.enabled()) {
-          emit.Goal(problem.StateKey(state), static_cast<int>(g), f);
-        }
+        emit.Goal(static_cast<int>(g));
         out.found = true;
         out.stop = StopReason::kFound;
         out.path = path_actions;
@@ -138,16 +129,16 @@ SearchOutcome<typename P::Action> IdaStarSearch(
   const State& root = problem.initial_state();
   Fp128 root_key = StateFingerprint(problem, root);
   int64_t bound = problem.EstimateCost(root);
-  if (seed != nullptr && seed->ida_bound >= 0) {
+  if (ctx.seed != nullptr && ctx.seed->ida_bound >= 0) {
     // Resume: skip the iterations below the checkpointed bound. Bounds
     // only grow across iterations, so max() is the right merge.
-    bound = std::max(bound, seed->ida_bound);
+    bound = std::max(bound, ctx.seed->ida_bound);
   }
 
   while (true) {
-    if (emit.enabled()) emit.Iteration(0, bound);
+    emit.Iteration(0, bound);
     instr.OnIteration(bound);
-    obs::TraceSpan iter_span(trace, obs::TraceCategory::kSearch,
+    obs::TraceSpan iter_span(ctx.trace, obs::TraceCategory::kSearch,
                              "ida.iteration", "bound", bound);
     dfs.next_bound = kSearchInfinity;
     dfs.path_keys = {root_key};
@@ -161,7 +152,6 @@ SearchOutcome<typename P::Action> IdaStarSearch(
     if (v == Dfs::Verdict::kFound) return outcome;
     if (dfs.aborted) {
       outcome.stop = dfs.abort_reason;
-      outcome.budget_exhausted = IsResourceStop(dfs.abort_reason);
       return outcome;
     }
     if (dfs.next_bound >= kSearchInfinity) return outcome;  // space exhausted

@@ -1,281 +1,19 @@
 #ifndef TUPELO_SEARCH_PARALLEL_BEAM_H_
 #define TUPELO_SEARCH_PARALLEL_BEAM_H_
 
-#include <algorithm>
-#include <cstdint>
-#include <unordered_set>
-#include <utility>
-#include <vector>
-
 #include "common/thread_pool.h"
 #include "search/beam.h"
-#include "search/instrumentation.h"
 #include "search/search_types.h"
-#include "search/trace.h"
 
 namespace tupelo {
 
-// Parallel level-synchronous beam search. Each depth level runs in two
-// phases:
-//
-//   Phase A (parallel): every frontier node's goal test, expansion, and
-//   per-successor fingerprint + heuristic estimate fan out across `pool`,
-//   one task per node. Workers touch only their own Prepared slot and the
-//   problem's const surface (which MappingProblem makes thread-safe);
-//   instrumentation, tracing, and the dedup set are never touched here.
-//
-//   Phase B (sequential): the calling thread merges results in frontier
-//   index order, replaying the exact control flow of BeamSearch —
-//   budget-guard check, examined count, best-h update, goal test, then
-//   successor dedup against `seen` in generation order.
-//
-// Because the dedup set, the budget guard, and every stats update are
-// driven in the same order as the sequential algorithm, the returned
-// SearchOutcome is bit-identical to BeamSearch on the same problem and
-// limits (the only divergence channel is the expand transposition cache's
-// LRU order, which can shift AuxMemoryNodes after an eviction; see
-// docs/PERFORMANCE.md). A worker that observes the CancelToken skips its
-// expansion; the merge phase recomputes such slots inline, so even a
-// cancellation race cannot change the result — it only costs parallelism.
-//
-// Falls back to BeamSearch when `pool` is null or has a single worker.
-//
-// Checkpointing mirrors BeamSearch exactly: snapshots are offered at the
-// level barrier (the sequential point between Phase B of one level and
-// Phase A of the next), and a frontier-carrying `seed` resumes the level
-// loop with bit-identical continuation.
-//
-// Instruments (beyond search.*): beam.parallel.levels counts level
-// barriers, beam.parallel.tasks the node-expansion tasks fanned out.
+// Forwarding name for BeamSearch over a pool, kept for the benchmark
+// harness (perfbench/src/discover.cc). New code calls BeamSearch directly.
 template <typename P>
 SearchOutcome<typename P::Action> ParallelBeamSearch(
     const P& problem, size_t beam_width, ThreadPool* pool,
-    const SearchLimits& limits = SearchLimits(),
-    SearchTracer* tracer = nullptr, obs::MetricRegistry* metrics = nullptr,
-    const SearchSeed<typename P::State, typename P::Action>* seed = nullptr,
-    obs::TraceSession* trace = nullptr) {
-  using Action = typename P::Action;
-  using State = typename P::State;
-
-  if (pool == nullptr || pool->size() <= 1) {
-    return BeamSearch(problem, beam_width, limits, tracer, metrics, seed,
-                      trace);
-  }
-
-  SearchOutcome<Action> outcome;
-  SearchInstrumentation instr(metrics);
-  SearchTraceEmitter emit(tracer, trace);
-  obs::TraceSpan search_span(trace, obs::TraceCategory::kSearch,
-                             "search.parallel_beam", "workers",
-                             static_cast<int64_t>(pool->size()));
-  if (beam_width == 0) return outcome;
-  auto* sink = ResolveCheckpointSink<State, Action>(limits);
-
-  obs::Counter* levels = nullptr;
-  obs::Counter* tasks = nullptr;
-  if (metrics != nullptr) {
-    levels = &metrics->GetCounter("beam.parallel.levels");
-    tasks = &metrics->GetCounter("beam.parallel.tasks");
-  }
-
-  struct Node {
-    State state;
-    std::vector<Action> path;
-    int64_t h;
-  };
-
-  using SuccList = decltype(problem.Expand(problem.initial_state()));
-
-  // One slot per frontier node, written by exactly one worker task and
-  // read by the merge phase after the WaitGroup barrier (which provides
-  // the happens-before edge). `ready` is false only when the worker bowed
-  // out on a cancelled token.
-  struct Prepared {
-    bool ready = false;
-    bool is_goal = false;
-    SuccList successors;
-    std::vector<Fp128> keys;
-    std::vector<int64_t> hs;
-  };
-
-  auto prepare = [&problem, &limits, trace](const Node& node,
-                                            Prepared& slot) {
-    // Emitted on whichever thread runs the task, so Phase A work lands on
-    // the worker's own track in the trace.
-    obs::TraceSpan prep_span(trace, obs::TraceCategory::kSearch,
-                             "beam.prepare");
-    if (problem.IsGoal(node.state)) {
-      slot.is_goal = true;
-      slot.ready = true;
-      return;
-    }
-    slot.successors = GuardedExpand(problem, node.state, limits.quarantine);
-    slot.keys.reserve(slot.successors.size());
-    std::vector<const State*> succ_states;
-    succ_states.reserve(slot.successors.size());
-    for (const auto& succ : slot.successors) {
-      slot.keys.push_back(StateFingerprint(problem, succ.state));
-      succ_states.push_back(&succ.state);
-    }
-    // One batched heuristic round-trip per expansion; identical values
-    // to the old per-successor EstimateCost loop (see EstimateCosts).
-    const std::vector<int> hs = EstimateCosts(problem, succ_states);
-    slot.hs.assign(hs.begin(), hs.end());
-    slot.ready = true;
-  };
-
-  std::unordered_set<Fp128, Fp128Hash> seen;
-  std::vector<Node> frontier;
-  int start_depth = 0;
-  if (seed != nullptr && !seed->frontier.empty()) {
-    // Resume from a checkpointed level barrier. h is recomputed (the
-    // heuristic is deterministic) rather than trusted from the seed.
-    for (const auto& entry : seed->frontier) {
-      frontier.push_back(
-          Node{entry.state, entry.path, problem.EstimateCost(entry.state)});
-    }
-    seen.reserve(seed->closed.size());
-    for (const auto& [fp, g] : seed->closed) seen.insert(fp);
-    start_depth = seed->beam_depth;
-  } else {
-    const State& root = problem.initial_state();
-    seen.insert(StateFingerprint(problem, root));
-    frontier.push_back(Node{root, {}, problem.EstimateCost(root)});
-  }
-
-  BudgetGuard guard(limits);
-  WaitGroup wg;
-
-  for (int depth = start_depth; depth <= limits.max_depth; ++depth) {
-    // The memory proxy is computed before the fan-out, like the sequential
-    // loop computes it before any of the level's expansions.
-    uint64_t nodes = static_cast<uint64_t>(frontier.size() + seen.size()) +
-                     AuxMemoryNodes(problem);
-    outcome.stats.peak_memory_nodes =
-        std::max(outcome.stats.peak_memory_nodes, nodes);
-    instr.OnPeakMemory(nodes);
-    if (sink != nullptr &&
-        sink->WantSnapshot(outcome.stats.states_examined)) {
-      SearchSeed<State, Action> snap;
-      snap.states_examined = outcome.stats.states_examined;
-      snap.best_path = outcome.best_path;
-      snap.best_h = outcome.best_h;
-      snap.beam_depth = depth;
-      snap.frontier.reserve(frontier.size());
-      for (const Node& node : frontier) {
-        snap.frontier.push_back({node.state, node.path, node.h});
-      }
-      snap.closed.reserve(seen.size());
-      for (const Fp128& fp : seen) snap.closed.emplace_back(fp, 0);
-      sink->OnSnapshot(std::move(snap));
-    }
-    int64_t level_best_h = frontier.front().h;
-    for (const Node& node : frontier) {
-      level_best_h = std::min(level_best_h, node.h);
-    }
-    if (emit.enabled()) emit.Iteration(depth, level_best_h);
-    if (levels != nullptr) levels->Increment();
-    obs::TraceSpan level_span(trace, obs::TraceCategory::kSearch,
-                              "beam.level", "level", depth, "best_h",
-                              level_best_h);
-
-    // Phase A: fan the frontier out across the pool.
-    std::vector<Prepared> prepared(frontier.size());
-    {
-      obs::TraceSpan fan_span(trace, obs::TraceCategory::kSearch,
-                              "beam.phase_a", "tasks",
-                              static_cast<int64_t>(frontier.size()));
-      wg.Add(frontier.size());
-      for (size_t i = 0; i < frontier.size(); ++i) {
-        pool->Submit([&frontier, &prepared, &prepare, &limits, &wg, i] {
-          if (limits.cancel == nullptr || !limits.cancel->cancelled()) {
-            // wg.Done() must run even if prepare throws (possible only
-            // with no quarantine installed): a leaked Done would wedge
-            // the barrier forever. The slot is reset so the merge phase
-            // recomputes it inline — on the caller's thread, where the
-            // exception propagates to the caller instead of a worker.
-            try {
-              prepare(frontier[i], prepared[i]);
-            } catch (...) {
-              prepared[i] = Prepared{};
-            }
-          }
-          wg.Done();
-        });
-      }
-      if (tasks != nullptr) tasks->Increment(frontier.size());
-      wg.Wait();
-    }
-
-    // Phase B: sequential merge in frontier order.
-    obs::TraceSpan merge_span(trace, obs::TraceCategory::kSearch,
-                              "beam.phase_b");
-    std::vector<Node> next_level;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      Node& node = frontier[i];
-      if (std::optional<StopReason> stop =
-              guard.Check(outcome.stats.states_examined, 0, nodes)) {
-        outcome.stop = *stop;
-        outcome.budget_exhausted = IsResourceStop(*stop);
-        return outcome;
-      }
-      ++outcome.stats.states_examined;
-      instr.OnVisit(problem.StateKey(node.state));
-      if (outcome.best_h < 0 || node.h < outcome.best_h) {
-        outcome.best_h = static_cast<int>(node.h);
-        outcome.best_path = node.path;
-      }
-      if (emit.enabled()) {
-        emit.Visit(problem.StateKey(node.state), depth, node.h);
-      }
-
-      Prepared& prep = prepared[i];
-      if (!prep.ready) prepare(node, prep);  // worker skipped on cancel
-
-      if (prep.is_goal) {
-        if (emit.enabled()) {
-          emit.Goal(problem.StateKey(node.state), depth, node.h);
-        }
-        outcome.found = true;
-        outcome.stop = StopReason::kFound;
-        outcome.stats.solution_cost = static_cast<int>(node.path.size());
-        outcome.path = std::move(node.path);
-        outcome.best_path = outcome.path;
-        outcome.best_h = 0;
-        return outcome;
-      }
-
-      outcome.stats.states_generated += prep.successors.size();
-      instr.OnExpand(prep.successors.size());
-      for (size_t s = 0; s < prep.successors.size(); ++s) {
-        if (!seen.insert(prep.keys[s]).second) {
-          instr.OnDuplicateHit();
-          continue;
-        }
-        std::vector<Action> path = node.path;
-        path.push_back(std::move(prep.successors[s].action));
-        next_level.push_back(Node{std::move(prep.successors[s].state),
-                                  std::move(path), prep.hs[s]});
-      }
-    }
-    if (next_level.empty()) return outcome;  // beam ran dry
-
-    // Keep the beam_width best by h (stable within ties), narrowed by the
-    // same supervisor width pressure as the sequential beam.
-    const size_t level_width =
-        EffectiveBeamWidth(beam_width, limits.width_pressure);
-    if (next_level.size() > level_width) {
-      emit.BeamDrop(depth,
-                    static_cast<int64_t>(next_level.size() - level_width));
-      std::stable_sort(next_level.begin(), next_level.end(),
-                       [](const Node& a, const Node& b) { return a.h < b.h; });
-      next_level.resize(level_width);
-    }
-    frontier = std::move(next_level);
-  }
-  outcome.stop = StopReason::kDepth;  // level loop ran out of depth budget
-  outcome.budget_exhausted = true;
-  return outcome;
+    const SearchLimits& limits = SearchLimits()) {
+  return BeamSearch(problem, beam_width, limits, {}, pool);
 }
 
 }  // namespace tupelo

@@ -27,23 +27,20 @@ namespace tupelo {
 //
 // Checkpointing: RBFS has no compact resumable core (its state is the
 // recursion stack's backed-up values), so snapshots carry progress
-// counters and the best partial path only, and `seed` never seeds the
+// counters and the best partial path only, and `ctx.seed` never seeds the
 // search — resume restarts from the root. The algorithm is deterministic,
 // so the restarted run reaches the same result as an uninterrupted one.
 template <typename P>
 SearchOutcome<typename P::Action> RbfsSearch(
     const P& problem, const SearchLimits& limits = SearchLimits(),
-    SearchTracer* tracer = nullptr, obs::MetricRegistry* metrics = nullptr,
-    const SearchSeed<typename P::State, typename P::Action>* seed = nullptr,
-    obs::TraceSession* trace = nullptr) {
+    const SearchContext<typename P::State, typename P::Action>& ctx = {}) {
   using Action = typename P::Action;
   using State = typename P::State;
-  (void)seed;  // restart-from-root semantics; see header comment
 
   SearchOutcome<Action> outcome;
-  SearchInstrumentation instr(metrics);
-  SearchTraceEmitter emit(tracer, trace);
-  obs::TraceSpan search_span(trace, obs::TraceCategory::kSearch,
+  SearchInstrumentation instr(ctx.metrics);
+  SearchTraceEmitter emit(ctx.trace);
+  obs::TraceSpan search_span(ctx.trace, obs::TraceCategory::kSearch,
                              "search.rbfs");
   auto* sink = ResolveCheckpointSink<State, Action>(limits);
 
@@ -99,14 +96,10 @@ SearchOutcome<typename P::Action> RbfsSearch(
         out.best_h = h;
         out.best_path = path_actions;
       }
-      if (emit.enabled()) {
-        emit.Visit(problem.StateKey(state), static_cast<int>(g), static_f);
-      }
+      emit.Visit(static_cast<int>(g), static_f);
 
       if (problem.IsGoal(state)) {
-        if (emit.enabled()) {
-          emit.Goal(problem.StateKey(state), static_cast<int>(g), static_f);
-        }
+        emit.Goal(static_cast<int>(g));
         out.found = true;
         out.stop = StopReason::kFound;
         out.path = path_actions;
@@ -178,10 +171,7 @@ SearchOutcome<typename P::Action> RbfsSearch(
       rec.Visit(root, 0, root_f, root_f, kSearchInfinity);
   (void)found;
   (void)backed_up;
-  if (rec.aborted) {
-    outcome.stop = rec.abort_reason;
-    outcome.budget_exhausted = IsResourceStop(rec.abort_reason);
-  }
+  if (rec.aborted) outcome.stop = rec.abort_reason;
   return outcome;
 }
 

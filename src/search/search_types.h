@@ -19,6 +19,11 @@
 
 namespace tupelo {
 
+namespace obs {
+class MetricRegistry;
+class TraceSession;
+}  // namespace obs
+
 // Generic state-space search (src/search) is written against a Problem
 // "duck type" P providing:
 //
@@ -320,10 +325,10 @@ class CheckpointSinkBase {
 //   * IDA*: `ida_bound`, the current iteration's f-bound. Resuming
 //     restarts iterative deepening at that bound; the completed shallower
 //     iterations are not repeated.
-//   * Beam / parallel beam: the whole frontier (states + paths + h) and
-//     the dedup set (`closed` fingerprints) at a level barrier, plus
-//     `beam_depth`. Resuming continues the level loop exactly where the
-//     snapshot was taken.
+//   * Beam: the whole frontier (states + paths + h) and the dedup set
+//     (`closed` fingerprints) at a level barrier, plus `beam_depth`.
+//     Resuming continues the level loop exactly where the snapshot was
+//     taken.
 //   * A* / greedy: the open list (paths, insertion sequence numbers) and
 //     the closed/best-g map. States and f/h values are reconstructed
 //     deterministically on resume, and preserved `seq` numbers keep the
@@ -522,16 +527,26 @@ struct SearchStats {
   int solution_cost = -1;
 };
 
+// The optional, nullable companions of one search call, shared by every
+// algorithm's signature: `metrics` feeds the search.* instruments
+// (search/instrumentation.h), `trace` receives spans and visit/goal/
+// iteration instants (search/trace.h), and `seed` resumes the algorithm
+// from a checkpointed core (see SearchSeed). A default-constructed context
+// is a plain, unobserved search from the root.
+template <typename State, typename Action>
+struct SearchContext {
+  obs::MetricRegistry* metrics = nullptr;
+  obs::TraceSession* trace = nullptr;
+  const SearchSeed<State, Action>* seed = nullptr;
+};
+
 template <typename Action>
 struct SearchOutcome {
   bool found = false;
   // Why the search returned. kExhausted until something else happens, so
-  // an empty-space search reports conclusively.
+  // an empty-space search reports conclusively; IsResourceStop(stop) says
+  // a SearchLimits bound (or cancellation) cut it short.
   StopReason stop = StopReason::kExhausted;
-  // Compatibility mirror of IsResourceStop(stop): the search stopped
-  // because a SearchLimits bound (or cancellation) tripped, i.e. failure
-  // is inconclusive.
-  bool budget_exhausted = false;
   std::vector<Action> path;
   // Anytime result: the path to the lowest-h state examined so far (the
   // goal path when found) and its remaining heuristic distance. best_h is

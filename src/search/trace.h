@@ -1,148 +1,48 @@
 #ifndef TUPELO_SEARCH_TRACE_H_
 #define TUPELO_SEARCH_TRACE_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "obs/trace.h"
 
 namespace tupelo {
 
-// Lightweight search observability: algorithms that accept a SearchTracer
-// record one event per state visit (and per IDA* iteration), capped at a
-// fixed capacity so tracing a runaway search cannot exhaust memory. Used
-// for debugging heuristics ("where did the f-bound jump?") and by tests
-// asserting algorithm invariants (bounds are non-decreasing, depths stay
-// within limits).
+// The single emission point for search-algorithm events: instants on the
+// run's TraceSession (obs/trace.h), next to the spans the algorithms open
+// with obs::TraceSpan. The session is nullable; a disabled run pays one
+// null check per event.
 //
-// Since the structured tracing layer (obs/trace.h) arrived, SearchTracer
-// is a thin adapter over the same event stream: algorithms emit through a
-// SearchTraceEmitter (below), which fans each event out to the bounded
-// SearchTracer vector (the PR 1-era callback API, kept for tests and
-// ToString debugging) and to the TraceSession (spans and instants on the
-// Perfetto timeline). There is one tracing path; the two sinks differ
-// only in retention and format.
-enum class TraceEventKind {
-  kVisit,      // a state was examined; f = g + h at that state
-  kGoal,       // the goal test succeeded at this state
-  kIteration,  // IDA*: a new iteration began, value = the new f-bound;
-               // beam: a new level began, depth = level, value = best h
-};
-
-struct TraceEvent {
-  TraceEventKind kind;
-  uint64_t state_key = 0;  // 0 for kIteration
-  int depth = 0;           // g (beam level for its kIteration, else 0)
-  int64_t value = 0;       // f for visits, bound for iterations
-
-  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
-};
-
-class SearchTracer {
- public:
-  explicit SearchTracer(size_t capacity = 100000) : capacity_(capacity) {}
-
-  void Record(TraceEvent event) {
-    if (events_.size() < capacity_) {
-      events_.push_back(event);
-    } else {
-      ++dropped_;
-    }
-  }
-
-  const std::vector<TraceEvent>& events() const { return events_; }
-  bool truncated() const { return dropped_ > 0; }
-  // Events discarded after capacity was reached.
-  uint64_t dropped() const { return dropped_; }
-  void Clear() {
-    events_.clear();
-    dropped_ = 0;
-  }
-
-  // Human-readable dump, one event per line.
-  std::string ToString() const {
-    std::string out;
-    for (const TraceEvent& e : events_) {
-      switch (e.kind) {
-        case TraceEventKind::kVisit:
-          out += "visit g=" + std::to_string(e.depth) +
-                 " f=" + std::to_string(e.value) +
-                 " key=" + std::to_string(e.state_key) + "\n";
-          break;
-        case TraceEventKind::kGoal:
-          out += "goal  g=" + std::to_string(e.depth) +
-                 " key=" + std::to_string(e.state_key) + "\n";
-          break;
-        case TraceEventKind::kIteration:
-          out += "iteration bound=" + std::to_string(e.value) + "\n";
-          break;
-      }
-    }
-    if (dropped_ > 0) {
-      out += "(truncated: " + std::to_string(dropped_) + " events dropped)\n";
-    }
-    return out;
-  }
-
- private:
-  size_t capacity_;
-  std::vector<TraceEvent> events_;
-  uint64_t dropped_ = 0;
-};
-
-// The single emission point for search-algorithm events. Both sinks are
-// nullable and independent: tests typically pass a SearchTracer, the
-// Tupelo driver passes the run's TraceSession, and a disabled run pays
-// two null checks per event.
+//   visit      a state was examined; args f (f = g + h, or h for greedy
+//              and beam) and g (depth)
+//   goal       the goal test succeeded; arg g
+//   iteration  IDA*: a new iteration began, value = the new f-bound and
+//              depth = 0; beam: a new level began, value = the level's
+//              best h and depth = level
+//   beam.dropped  frontier candidates cut by the beam width at a level
 class SearchTraceEmitter {
  public:
-  SearchTraceEmitter(SearchTracer* tracer, obs::TraceSession* trace)
-      : tracer_(tracer), trace_(trace) {}
+  explicit SearchTraceEmitter(obs::TraceSession* trace) : trace_(trace) {}
 
-  bool enabled() const { return tracer_ != nullptr || trace_ != nullptr; }
-  obs::TraceSession* session() const { return trace_; }
-
-  // A state was examined; `value` is f (or h for greedy/beam).
-  void Visit(uint64_t state_key, int depth, int64_t value) {
-    if (tracer_ != nullptr) {
-      tracer_->Record(TraceEvent{TraceEventKind::kVisit, state_key, depth,
-                                 value});
-    }
+  void Visit(int depth, int64_t value) {
     if (trace_ != nullptr) {
       trace_->EmitInstant(obs::TraceCategory::kSearch, "visit", "f", value,
                           "g", depth);
     }
   }
 
-  void Goal(uint64_t state_key, int depth, int64_t value) {
-    if (tracer_ != nullptr) {
-      tracer_->Record(TraceEvent{TraceEventKind::kGoal, state_key, depth,
-                                 value});
-    }
+  void Goal(int depth) {
     if (trace_ != nullptr) {
       trace_->EmitInstant(obs::TraceCategory::kSearch, "goal", "g", depth);
     }
   }
 
-  // IDA*: a new iteration began (value = the new f-bound, depth 0);
-  // beam: a new level began (depth = level, value = best h). The span
-  // structure (one span per iteration/level) is emitted separately by the
-  // algorithms via obs::TraceSpan; this records the legacy point event.
   void Iteration(int depth, int64_t value) {
-    if (tracer_ != nullptr) {
-      tracer_->Record(TraceEvent{TraceEventKind::kIteration, 0, depth,
-                                 value});
-    }
     if (trace_ != nullptr) {
       trace_->EmitInstant(obs::TraceCategory::kSearch, "iteration", "value",
                           value, "depth", depth);
     }
   }
 
-  // Beam only: `dropped` frontier candidates fell off the width cut at
-  // `level`. Session-only — the legacy event model has no drop kind.
   void BeamDrop(int level, int64_t dropped) {
     if (trace_ != nullptr && dropped > 0) {
       trace_->EmitInstant(obs::TraceCategory::kSearch, "beam.dropped",
@@ -151,7 +51,6 @@ class SearchTraceEmitter {
   }
 
  private:
-  SearchTracer* tracer_;
   obs::TraceSession* trace_;
 };
 

@@ -1,9 +1,10 @@
 // The parallel search runtime: ThreadPool/WaitGroup, thread-safe
 // MappingProblem caches (estimate shards, expand LRU under concurrent
 // expansion), per-thread COW attribution, CancelToken parenting, the
-// parallel beam's bit-identical-outcome contract, and the concurrent
-// portfolio ladder. Under CMAKE_BUILD_TYPE=Tsan this suite doubles as the
-// tsan_smoke race detector target.
+// beam's same-outcome contract with and without a pool (workers reading
+// the dedup set concurrently), and the concurrent portfolio ladder. Under
+// CMAKE_BUILD_TYPE=Tsan this suite doubles as the tsan_smoke race
+// detector target.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include "obs/metrics.h"
 #include "relational/database.h"
 #include "search/beam.h"
-#include "search/parallel_beam.h"
 #include "search/search_types.h"
 #include "workloads/synthetic.h"
 
@@ -278,7 +278,7 @@ TEST(CowAttributionTest, ProblemMetricsAttributePerProblem) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel beam: bit-identical outcomes
+// Beam over a pool: bit-identical outcomes
 // ---------------------------------------------------------------------------
 
 // A number-line toy (copied shape from search_test.cc): unbounded space,
@@ -311,7 +311,6 @@ template <typename Outcome>
 void ExpectIdenticalOutcomes(const Outcome& seq, const Outcome& par) {
   EXPECT_EQ(seq.found, par.found);
   EXPECT_EQ(seq.stop, par.stop);
-  EXPECT_EQ(seq.budget_exhausted, par.budget_exhausted);
   EXPECT_EQ(seq.path, par.path);
   EXPECT_EQ(seq.best_path, par.best_path);
   EXPECT_EQ(seq.best_h, par.best_h);
@@ -330,7 +329,7 @@ TEST(ParallelBeamTest, BitIdenticalToSequentialOnToyProblem) {
   ThreadPool pool(4);
 
   auto seq = BeamSearch(p, 4, limits);
-  auto par = ParallelBeamSearch(p, 4, &pool, limits);
+  auto par = BeamSearch(p, 4, limits, {}, &pool);
   ASSERT_TRUE(seq.found);
   ExpectIdenticalOutcomes(seq, par);
 }
@@ -344,7 +343,7 @@ TEST(ParallelBeamTest, BitIdenticalWhenBudgetTrips) {
   ThreadPool pool(4);
 
   auto seq = BeamSearch(p, 8, limits);
-  auto par = ParallelBeamSearch(p, 8, &pool, limits);
+  auto par = BeamSearch(p, 8, limits, {}, &pool);
   ASSERT_FALSE(seq.found);
   EXPECT_EQ(seq.stop, StopReason::kStates);
   ExpectIdenticalOutcomes(seq, par);
@@ -361,21 +360,20 @@ TEST(ParallelBeamTest, BitIdenticalOnMappingProblem) {
   ThreadPool pool(4);
 
   auto seq = BeamSearch(seq_problem, 8, limits);
-  auto par = ParallelBeamSearch(par_problem, 8, &pool, limits);
+  auto par = BeamSearch(par_problem, 8, limits, {}, &pool);
   ASSERT_TRUE(seq.found);
   ExpectIdenticalOutcomes(seq, par);
 }
 
-TEST(ParallelBeamTest, NullOrSingleWorkerPoolFallsBack) {
+TEST(ParallelBeamTest, SingleWorkerPoolMatchesNoPool) {
   NumberLineProblem p;
   p.goal = 10;
   SearchLimits limits;
   limits.max_depth = 20;
   ThreadPool one(1);
 
-  auto seq = BeamSearch(p, 4, limits);
-  ExpectIdenticalOutcomes(seq, ParallelBeamSearch(p, 4, nullptr, limits));
-  ExpectIdenticalOutcomes(seq, ParallelBeamSearch(p, 4, &one, limits));
+  ExpectIdenticalOutcomes(BeamSearch(p, 4, limits),
+                          BeamSearch(p, 4, limits, {}, &one));
 }
 
 TEST(ParallelBeamTest, PreCancelledTokenStopsWithoutVisits) {
@@ -388,7 +386,7 @@ TEST(ParallelBeamTest, PreCancelledTokenStopsWithoutVisits) {
   limits.cancel = &token;
   ThreadPool pool(4);
 
-  auto out = ParallelBeamSearch(p, 4, &pool, limits);
+  auto out = BeamSearch(p, 4, limits, {}, &pool);
   EXPECT_FALSE(out.found);
   EXPECT_EQ(out.stop, StopReason::kCancelled);
   EXPECT_EQ(out.stats.states_examined, 0u);
@@ -402,12 +400,42 @@ TEST(ParallelBeamTest, RecordsParallelInstruments) {
   ThreadPool pool(4);
   obs::MetricRegistry metrics;
 
-  auto out = ParallelBeamSearch(p, 4, &pool, limits, nullptr, &metrics);
+  auto out = BeamSearch(p, 4, limits, {&metrics}, &pool);
   ASSERT_TRUE(out.found);
   EXPECT_GE(metrics.GetCounter("beam.parallel.levels").value(), 1u);
   // At least one task per level, and one task per frontier node overall.
   EXPECT_GE(metrics.GetCounter("beam.parallel.tasks").value(),
             metrics.GetCounter("beam.parallel.levels").value());
+}
+
+// The number line with a heuristic that counts its calls from any thread.
+struct CountingNumberLineProblem : NumberLineProblem {
+  mutable std::atomic<uint64_t> estimates{0};
+  int EstimateCost(const State& s) const {
+    estimates.fetch_add(1, std::memory_order_relaxed);
+    return NumberLineProblem::EstimateCost(s);
+  }
+};
+
+TEST(ParallelBeamTest, EstimatesOnlySuccessorsNewToTheDedupSet) {
+  // The goal lies beyond the depth bound, so the search stops on kDepth
+  // and every node Phase A prepares is also merged: the root plus each
+  // merged successor that was not a duplicate is estimated exactly once.
+  SearchLimits limits;
+  limits.max_depth = 30;
+  ThreadPool pool(4);
+  for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    CountingNumberLineProblem p;
+    p.goal = 1000;
+    obs::MetricRegistry metrics;
+    auto out = BeamSearch(p, 4, limits, {&metrics}, workers);
+    ASSERT_EQ(out.stop, StopReason::kDepth);
+    const uint64_t duplicates = metrics.CounterValue("search.duplicate_hits");
+    ASSERT_GT(duplicates, 0u);
+    EXPECT_EQ(p.estimates.load(),
+              1 + out.stats.states_generated - duplicates)
+        << (workers == nullptr ? "no pool" : "4-worker pool");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -8,13 +9,13 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "search/a_star.h"
 #include "search/beam.h"
 #include "search/greedy.h"
 #include "search/ida_star.h"
 #include "search/rbfs.h"
 #include "search/search_types.h"
-#include "search/trace.h"
 
 namespace tupelo {
 namespace {
@@ -78,10 +79,6 @@ struct NumberLineProblem {
     return static_cast<uint64_t>(static_cast<int64_t>(s) + (1LL << 32));
   }
 };
-
-template <typename P>
-using Runner = SearchOutcome<typename P::Action> (*)(const P&,
-                                                     const SearchLimits&);
 
 // Parameterized over the four algorithms so every scenario runs on all.
 enum class Algo { kIda, kRbfs, kAStar, kGreedy };
@@ -160,7 +157,6 @@ TEST_P(AllAlgorithms, UnreachableGoalExhaustsSpace) {
   p.goal = 9;
   auto out = RunSearch(GetParam(), p);
   EXPECT_FALSE(out.found);
-  EXPECT_FALSE(out.budget_exhausted);  // space exhausted, not budget
   EXPECT_EQ(out.stop, StopReason::kExhausted);
 }
 
@@ -183,7 +179,6 @@ TEST_P(AllAlgorithms, StateBudgetAborts) {
   limits.max_depth = 2000;
   auto out = RunSearch(GetParam(), p, limits);
   EXPECT_FALSE(out.found);
-  EXPECT_TRUE(out.budget_exhausted);
   EXPECT_EQ(out.stop, StopReason::kStates);
   EXPECT_LE(out.stats.states_examined, 50u);
   // Anytime contract: the best partial path and its remaining heuristic
@@ -202,7 +197,6 @@ TEST_P(AllAlgorithms, DepthLimitAborts) {
   limits.max_depth = 10;
   auto out = RunSearch(GetParam(), p, limits);
   EXPECT_FALSE(out.found);
-  EXPECT_TRUE(out.budget_exhausted);
   EXPECT_EQ(out.stop, StopReason::kDepth);
 }
 
@@ -422,7 +416,7 @@ TEST(BeamTest, BudgetAborts) {
   limits.max_depth = 2000;
   auto out = BeamSearch(p, 8, limits);
   EXPECT_FALSE(out.found);
-  EXPECT_TRUE(out.budget_exhausted);
+  EXPECT_TRUE(IsResourceStop(out.stop));
 }
 
 TEST(BeamTest, GoalAtRoot) {
@@ -473,7 +467,6 @@ TEST_P(AllAlgorithms, FoundSetsStopAndAnytimeFields) {
   auto out = RunSearch(GetParam(), p);
   ASSERT_TRUE(out.found);
   EXPECT_EQ(out.stop, StopReason::kFound);
-  EXPECT_FALSE(out.budget_exhausted);
   EXPECT_EQ(out.best_path, out.path);
   EXPECT_EQ(out.best_h, 0);
 }
@@ -491,7 +484,6 @@ TEST_P(AllAlgorithms, DeadlineAborts) {
       std::chrono::steady_clock::now() - start);
   EXPECT_FALSE(out.found);
   EXPECT_EQ(out.stop, StopReason::kDeadline);
-  EXPECT_TRUE(out.budget_exhausted);
   // Generous CI-safe bound: orders of magnitude below the states backstop,
   // proving the wall clock (not a counter) stopped the search.
   EXPECT_LT(elapsed.count(), 3000);
@@ -506,7 +498,6 @@ TEST_P(AllAlgorithms, MemoryLimitAborts) {
   auto out = RunSearch(GetParam(), p, limits);
   EXPECT_FALSE(out.found);
   EXPECT_EQ(out.stop, StopReason::kMemory);
-  EXPECT_TRUE(out.budget_exhausted);
   EXPECT_FALSE(out.best_path.empty());
   EXPECT_GT(out.best_h, 0);
 }
@@ -522,7 +513,6 @@ TEST_P(AllAlgorithms, PreCancelledTokenTripsBeforeAnyVisit) {
   auto out = RunSearch(GetParam(), p, limits);
   EXPECT_FALSE(out.found);
   EXPECT_EQ(out.stop, StopReason::kCancelled);
-  EXPECT_TRUE(out.budget_exhausted);
   EXPECT_EQ(out.stats.states_examined, 0u);
   // Reset makes the token reusable.
   token.Reset();
@@ -546,7 +536,6 @@ TEST_P(AllAlgorithms, ConcurrentCancelStopsRunningSearch) {
   worker.join();
   EXPECT_FALSE(out.found);
   EXPECT_EQ(out.stop, StopReason::kCancelled);
-  EXPECT_TRUE(out.budget_exhausted);
   EXPECT_LT(out.stats.states_examined, 20000u);
 }
 
@@ -561,9 +550,7 @@ TEST(BeamTest, StopReasonsAcrossLimits) {
 
   SearchLimits depth;
   depth.max_depth = 10;
-  auto out = BeamSearch(p, 8, depth);
-  EXPECT_EQ(out.stop, StopReason::kDepth);
-  EXPECT_TRUE(out.budget_exhausted);
+  EXPECT_EQ(BeamSearch(p, 8, depth).stop, StopReason::kDepth);
 
   SearchLimits memory;
   memory.max_depth = 2000;
@@ -598,7 +585,6 @@ TEST(BeamTest, RanDryIsExhaustedNotResourceStop) {
   auto out = BeamSearch(p, 4, SearchLimits());
   EXPECT_FALSE(out.found);
   EXPECT_EQ(out.stop, StopReason::kExhausted);
-  EXPECT_FALSE(out.budget_exhausted);
 }
 
 TEST(BudgetGuardTest, CountingLimitsCheckedEveryCall) {
@@ -654,99 +640,96 @@ TEST(StopReasonTest, NamesAndClassification) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracing
+// Tracing: the visit/goal/iteration instants on a TraceSession
 // ---------------------------------------------------------------------------
+
+// The named instants of one traced search, in emission order (a search
+// emits from one thread, and Collect() keeps each thread's order).
+std::vector<obs::TraceExportEvent> Instants(const obs::TraceSession& session,
+                                            const std::string& name) {
+  std::vector<obs::TraceExportEvent> out;
+  for (obs::TraceExportEvent& e : session.Collect()) {
+    if (e.phase == obs::TracePhase::kInstant && e.name == name) {
+      out.push_back(std::move(e));
+    }
+  }
+  return out;
+}
+
+int64_t Arg(const obs::TraceExportEvent& e, const std::string& key) {
+  for (const auto& [k, v] : e.args) {
+    if (k == key) return v;
+  }
+  ADD_FAILURE() << e.name << " has no arg " << key;
+  return -1;
+}
 
 TEST(TraceTest, IdaRecordsNonDecreasingBounds) {
   GraphProblem p;
   p.edges = {{0, {1}}, {1, {2}}, {2, {3}}, {3, {4}}};
   p.goal = 4;
-  SearchTracer tracer;
-  auto out = IdaStarSearch(p, SearchLimits(), &tracer);
+  obs::TraceSession session;
+  auto out = IdaStarSearch(p, SearchLimits(), {nullptr, &session});
   ASSERT_TRUE(out.found);
+  const std::vector<obs::TraceExportEvent> iterations =
+      Instants(session, "iteration");
   int64_t last_bound = -1;
-  size_t iterations = 0;
-  size_t visits = 0;
-  for (const TraceEvent& e : tracer.events()) {
-    if (e.kind == TraceEventKind::kIteration) {
-      EXPECT_GT(e.value, last_bound);
-      last_bound = e.value;
-      ++iterations;
-    } else if (e.kind == TraceEventKind::kVisit) {
-      ++visits;
-    }
+  for (const obs::TraceExportEvent& e : iterations) {
+    EXPECT_GT(Arg(e, "value"), last_bound);
+    last_bound = Arg(e, "value");
   }
-  EXPECT_EQ(iterations, static_cast<size_t>(out.stats.iterations));
-  EXPECT_EQ(visits, out.stats.states_examined);
-  EXPECT_EQ(tracer.events().back().kind, TraceEventKind::kGoal);
+  EXPECT_EQ(iterations.size(), static_cast<size_t>(out.stats.iterations));
+  EXPECT_EQ(Instants(session, "visit").size(), out.stats.states_examined);
+
+  // The run is one search.ida span, and its last instant is the one goal.
+  const std::vector<obs::TraceExportEvent> all = session.Collect();
+  EXPECT_TRUE(std::any_of(all.begin(), all.end(), [](const auto& e) {
+    return e.name == "search.ida" && e.phase == obs::TracePhase::kBegin;
+  }));
+  auto last_instant = std::find_if(all.rbegin(), all.rend(), [](const auto& e) {
+    return e.phase == obs::TracePhase::kInstant;
+  });
+  ASSERT_NE(last_instant, all.rend());
+  EXPECT_EQ(last_instant->name, "goal");
+  const std::vector<obs::TraceExportEvent> goals = Instants(session, "goal");
+  ASSERT_EQ(goals.size(), 1u);
+  EXPECT_EQ(Arg(goals[0], "g"), out.stats.solution_cost);
 }
 
 TEST(TraceTest, VisitCountsMatchStatsAcrossAlgorithms) {
   GraphProblem p;
   p.edges = {{0, {1, 2}}, {1, {3}}, {2, {3}}, {3, {4}}};
   p.goal = 4;
-  for (int which = 0; which < 4; ++which) {
-    SearchTracer tracer;
+  for (int which = 0; which < 5; ++which) {
+    obs::TraceSession session;
+    const SearchContext<int, int> ctx{nullptr, &session};
     SearchOutcome<int> out;
     switch (which) {
       case 0:
-        out = IdaStarSearch(p, SearchLimits(), &tracer);
+        out = IdaStarSearch(p, SearchLimits(), ctx);
         break;
       case 1:
-        out = RbfsSearch(p, SearchLimits(), &tracer);
+        out = RbfsSearch(p, SearchLimits(), ctx);
         break;
       case 2:
-        out = AStarSearch(p, SearchLimits(), &tracer);
+        out = AStarSearch(p, SearchLimits(), ctx);
         break;
       case 3:
-        out = GreedySearch(p, SearchLimits(), &tracer);
+        out = GreedySearch(p, SearchLimits(), ctx);
+        break;
+      case 4:
+        out = BeamSearch(p, 4, SearchLimits(), ctx);
         break;
     }
     ASSERT_TRUE(out.found) << which;
-    size_t visits = 0;
-    for (const TraceEvent& e : tracer.events()) {
-      if (e.kind == TraceEventKind::kVisit) ++visits;
-      EXPECT_LE(e.depth, out.stats.solution_cost + 8) << which;
+    const std::vector<obs::TraceExportEvent> visits =
+        Instants(session, "visit");
+    for (const obs::TraceExportEvent& e : visits) {
+      EXPECT_LE(Arg(e, "g"), out.stats.solution_cost + 8) << which;
     }
-    EXPECT_EQ(visits, out.stats.states_examined) << which;
+    EXPECT_EQ(visits.size(), out.stats.states_examined) << which;
+    EXPECT_EQ(Instants(session, "goal").size(), 1u) << which;
   }
-}
-
-TEST(TraceTest, CapacityTruncates) {
-  NumberLineProblem p;
-  p.goal = 100;
-  SearchLimits limits;
-  limits.max_depth = 200;
-  SearchTracer tracer(10);
-  auto out = RbfsSearch(p, limits, &tracer);
-  ASSERT_TRUE(out.found);
-  EXPECT_EQ(tracer.events().size(), 10u);
-  EXPECT_TRUE(tracer.truncated());
-  tracer.Clear();
-  EXPECT_TRUE(tracer.events().empty());
-  EXPECT_FALSE(tracer.truncated());
-}
-
-TEST(TraceTest, ToStringMentionsEveryKind) {
-  SearchTracer tracer;
-  tracer.Record(TraceEvent{TraceEventKind::kIteration, 0, 0, 3});
-  tracer.Record(TraceEvent{TraceEventKind::kVisit, 42, 1, 5});
-  tracer.Record(TraceEvent{TraceEventKind::kGoal, 42, 2, 5});
-  std::string dump = tracer.ToString();
-  EXPECT_NE(dump.find("iteration bound=3"), std::string::npos);
-  EXPECT_NE(dump.find("visit g=1 f=5"), std::string::npos);
-  EXPECT_NE(dump.find("goal  g=2"), std::string::npos);
-}
-
-TEST(TraceTest, ToStringReportsDropCount) {
-  SearchTracer tracer(2);
-  for (int i = 0; i < 5; ++i) {
-    tracer.Record(TraceEvent{TraceEventKind::kVisit, 1, 0, 0});
-  }
-  EXPECT_TRUE(tracer.truncated());
-  EXPECT_EQ(tracer.dropped(), 3u);
-  EXPECT_NE(tracer.ToString().find("truncated: 3 events dropped"),
-            std::string::npos);
 }
 
 TEST(TraceTest, BeamRecordsLevelEvents) {
@@ -754,23 +737,18 @@ TEST(TraceTest, BeamRecordsLevelEvents) {
   p.goal = 10;
   SearchLimits limits;
   limits.max_depth = 20;
-  SearchTracer tracer;
-  auto out = BeamSearch(p, 4, limits, &tracer);
+  obs::TraceSession session;
+  auto out = BeamSearch(p, 4, limits, {nullptr, &session});
   ASSERT_TRUE(out.found);
-  int last_level = -1;
-  size_t levels = 0;
-  size_t visits = 0;
-  for (const TraceEvent& e : tracer.events()) {
-    if (e.kind == TraceEventKind::kIteration) {
-      EXPECT_EQ(e.depth, last_level + 1);  // consecutive levels
-      last_level = e.depth;
-      ++levels;
-    } else if (e.kind == TraceEventKind::kVisit) {
-      ++visits;
-    }
+  int64_t last_level = -1;
+  const std::vector<obs::TraceExportEvent> levels =
+      Instants(session, "iteration");
+  for (const obs::TraceExportEvent& e : levels) {
+    EXPECT_EQ(Arg(e, "depth"), last_level + 1);  // consecutive levels
+    last_level = Arg(e, "depth");
   }
-  EXPECT_GE(levels, 1u);
-  EXPECT_EQ(visits, out.stats.states_examined);
+  EXPECT_GE(levels.size(), 1u);
+  EXPECT_EQ(Instants(session, "visit").size(), out.stats.states_examined);
 }
 
 // ---------------------------------------------------------------------------
@@ -794,16 +772,16 @@ TEST(SearchMetricsTest, CountersMatchStatsAcrossAlgorithms) {
     SearchOutcome<int> out;
     switch (algo) {
       case Algo::kIda:
-        out = IdaStarSearch(p, SearchLimits(), nullptr, &registry);
+        out = IdaStarSearch(p, SearchLimits(), {&registry});
         break;
       case Algo::kRbfs:
-        out = RbfsSearch(p, SearchLimits(), nullptr, &registry);
+        out = RbfsSearch(p, SearchLimits(), {&registry});
         break;
       case Algo::kAStar:
-        out = AStarSearch(p, SearchLimits(), nullptr, &registry);
+        out = AStarSearch(p, SearchLimits(), {&registry});
         break;
       case Algo::kGreedy:
-        out = GreedySearch(p, SearchLimits(), nullptr, &registry);
+        out = GreedySearch(p, SearchLimits(), {&registry});
         break;
     }
     int which = static_cast<int>(algo);
@@ -829,7 +807,7 @@ TEST(SearchMetricsTest, RegistryDoesNotChangeTheOutcome) {
   GraphProblem p = MetricsProblem();
   obs::MetricRegistry registry;
   auto plain = IdaStarSearch(p);
-  auto metered = IdaStarSearch(p, SearchLimits(), nullptr, &registry);
+  auto metered = IdaStarSearch(p, SearchLimits(), {&registry});
   EXPECT_EQ(plain.found, metered.found);
   EXPECT_EQ(plain.path, metered.path);
   EXPECT_EQ(plain.stats.states_examined, metered.stats.states_examined);
@@ -842,7 +820,7 @@ TEST(SearchMetricsTest, IdaIterationCounterAndFBoundHistogram) {
   p.edges = {{0, {1}}, {1, {2}}, {2, {3}}, {3, {4}}};
   p.goal = 4;
   obs::MetricRegistry registry;
-  auto out = IdaStarSearch(p, SearchLimits(), nullptr, &registry);
+  auto out = IdaStarSearch(p, SearchLimits(), {&registry});
   ASSERT_TRUE(out.found);
   EXPECT_EQ(registry.CounterValue("search.iterations"),
             static_cast<uint64_t>(out.stats.iterations));
@@ -859,7 +837,7 @@ TEST(SearchMetricsTest, SingleIterationHasNoReExpansions) {
   p.goal = 2;
   p.h = {{0, 2}, {1, 1}, {2, 0}};  // perfect heuristic: one iteration
   obs::MetricRegistry registry;
-  auto out = IdaStarSearch(p, SearchLimits(), nullptr, &registry);
+  auto out = IdaStarSearch(p, SearchLimits(), {&registry});
   ASSERT_TRUE(out.found);
   EXPECT_EQ(registry.CounterValue("search.re_expansions"), 0u);
 }

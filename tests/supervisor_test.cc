@@ -331,7 +331,7 @@ TEST(SupervisorTest, ExhaustedRetriesSurfaceStalledStop) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_FALSE(r->found);
   EXPECT_EQ(r->stop_reason, StopReason::kStalled);
-  EXPECT_TRUE(r->budget_exhausted);  // kStalled is a resource stop
+  EXPECT_TRUE(IsResourceStop(r->stop_reason));  // kStalled is one too
   EXPECT_EQ(r->rung_retries, 0u);
   EXPECT_GE(r->stall_preemptions, 1u);
   EXPECT_GE(r->partial_h, 0);  // anytime contract survives preemption

@@ -15,15 +15,11 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "core/mapping_problem.h"
 #include "core/tupelo.h"
-#include "heuristics/heuristic_factory.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relational/io.h"
-#include "search/ida_star.h"
-#include "search/trace.h"
 #include "workloads/synthetic.h"
 
 namespace tupelo {
@@ -335,44 +331,6 @@ TEST(FlightRecordTest, DumpAndLoadFile) {
   ASSERT_EQ(record->events.size(), 1u);
   EXPECT_EQ(record->events[0].name, "tick");
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// SearchTracer unification
-// ---------------------------------------------------------------------------
-
-TEST(SearchTraceTest, LegacyTracerAndSessionSeeTheSameSearch) {
-  SyntheticMatchingPair pair = MakeSyntheticMatchingPair(3);
-  MappingProblem problem(
-      pair.source, pair.target,
-      MakeHeuristic(HeuristicKind::kH1, pair.target, SearchAlgorithm::kIda),
-      nullptr, {}, SuccessorConfig());
-  SearchTracer tracer;
-  TraceSession session;
-  SearchOutcome<Op> outcome =
-      IdaStarSearch(problem, SearchLimits(), &tracer, nullptr, nullptr,
-                    &session);
-  ASSERT_TRUE(outcome.found);
-  EXPECT_FALSE(tracer.events().empty());
-
-  int visits = 0, goals = 0;
-  bool saw_search_span = false;
-  for (const TraceExportEvent& e : session.Collect()) {
-    if (e.name == "visit") ++visits;
-    if (e.name == "goal") ++goals;
-    if (e.name == "search.ida" && e.phase == TracePhase::kBegin) {
-      saw_search_span = true;
-    }
-  }
-  EXPECT_TRUE(saw_search_span);
-  EXPECT_EQ(goals, 1);
-  // Both sinks hang off the same emission point, so the counts agree
-  // (modulo the legacy tracer's own cap, not hit at this size).
-  int legacy_visits = 0;
-  for (const TraceEvent& e : tracer.events()) {
-    if (e.kind == TraceEventKind::kVisit) ++legacy_visits;
-  }
-  EXPECT_EQ(visits, legacy_visits);
 }
 
 // ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ TEST(TupeloTest, BudgetExhaustionFlagged) {
   options.limits.max_states = 10;  // far too small
   TupeloResult r = MustDiscover(system, options);
   EXPECT_FALSE(r.found);
-  EXPECT_TRUE(r.budget_exhausted);
+  EXPECT_TRUE(IsResourceStop(r.stop_reason));
 }
 
 TEST(TupeloTest, CorrespondenceWithoutRegistryIsConfigError) {

@@ -142,7 +142,7 @@ TrialRun RunOnce(const SyntheticMatchingPair& pair,
   out.ok = true;
   out.result = *std::move(r);
   out.rr.found = out.result.found;
-  out.rr.cutoff = out.result.budget_exhausted;
+  out.rr.cutoff = IsResourceStop(out.result.stop_reason);
   out.rr.stop_reason = std::string(StopReasonName(out.result.stop_reason));
   out.rr.verified = out.result.verified;
   if (!out.result.verify_status.ok()) {
