@@ -95,8 +95,6 @@ int Usage() {
          "  [--beam-width=N]          frontier width for --algo=beam\n"
          "  [--threads=N]             worker threads (beam levels expand in "
          "parallel)\n"
-         "  [--portfolio]             run the degradation ladder as a "
-         "concurrent portfolio\n"
          "  [--trace=file.json]       record a Chrome trace-event export "
          "of the discovery run\n"
          "  [--trace-buffer-kb=N]     per-thread trace ring size "
@@ -185,9 +183,6 @@ int main(int argc, char** argv) {
       options.beam_width = std::stoull(value_of("--beam-width="));
     } else if (arg.starts_with("--threads=")) {
       options.threads = std::stoull(value_of("--threads="));
-    } else if (arg == "--portfolio") {
-      options.portfolio = true;
-      if (options.ladder.empty()) options.ladder = tupelo::DefaultLadder();
     } else if (arg.starts_with("--trace=")) {
       trace_path = value_of("--trace=");
     } else if (arg.starts_with("--trace-buffer-kb=")) {

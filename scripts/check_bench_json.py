@@ -14,8 +14,8 @@ when a run carries metrics) and the micro_bench *_ns substrate timing
 fields (required for the "micro" harness, validated as non-negative
 numbers wherever present). Schema_version 4 adds a root "threads"
 field (the --threads worker count, a positive int) and the parallel
-runtime counters (beam.parallel.levels/tasks, runtime.portfolio.* —
-validated like the substrate counters). Schema_version 5 adds per-run
+runtime counters (beam.parallel.levels/tasks, runtime.* — validated
+like the substrate counters). Schema_version 5 adds per-run
 "resumed" (bool) and "checkpoint_writes" (non-negative int) fields and
 the checkpoint.* counters (checkpoint.writes/bytes,
 checkpoint.resume.rungs_skipped — validated like the substrate

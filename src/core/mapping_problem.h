@@ -67,8 +67,7 @@ struct SuccessorConfig {
 //
 // Thread safety: the const query surface (IsGoal/Expand/EstimateCost/
 // StateKey/StateKey128/AuxMemoryNodes) may be called from several threads
-// at once — BeamSearch fans Expand+EstimateCost out across a pool,
-// and concurrent portfolio rungs each drive their own problem. The
+// at once — BeamSearch fans Expand+EstimateCost out across a pool. The
 // heuristic itself is stateless; the estimate cache is sharded by key and
 // the expand transposition cache sits under one mutex (successor
 // generation happens outside it). The problem owns mutexes, so it is

@@ -1,10 +1,10 @@
 #include "core/tupelo.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -94,46 +94,54 @@ SearchOutcome<Op> RunRung(SearchAlgorithm algorithm,
   return {};
 }
 
+// What Discover settles before its first rung runs.
+struct Plan {
+  // The rung sequence: the ladder when configured, else one rung running
+  // the configured algorithm on the full budget.
+  std::vector<DegradationRung> ladder;
+  // The call's budget, measured from `start`; a resumed run starts from
+  // what its checkpoint had left.
+  Clock::time_point start;
+  uint64_t states_left = 0;
+  int64_t deadline_millis = 0;  // 0 = no deadline
+  // Where the run starts: rung `first_rung`, from `resume_seed` when
+  // `resumed`.
+  size_t first_rung = 0;
+  bool resumed = false;
+  SearchSeed<Database, Op> resume_seed;
+};
+
 // Writes DiscoveryCheckpoint files from the snapshots the active rung's
-// search offers. One instance serves the whole Discover call; BeginRung
-// repoints it at each rung's position/budget context. When
-// `kill_after` > 0, the sink cancels `kill_token` right after that many
-// successful writes — the deterministic crash seam the fault campaign and
-// the crash-equivalence tests kill runs with.
+// search offers. One instance serves the whole Discover call; BeginAttempt
+// repoints it at each attempt's position/budget context. When
+// options.checkpoint_kill_after > 0, the sink cancels `kill_token` right
+// after that many successful writes — the deterministic crash seam the
+// fault campaign and the crash-equivalence tests kill runs with.
 class FileCheckpointSink : public CheckpointSink<Database, Op> {
  public:
-  FileCheckpointSink(std::string path, uint64_t interval_states,
-                     Fp128 source_fp, Fp128 target_fp, int ladder_size,
-                     int64_t deadline_total, Clock::time_point search_start,
-                     obs::MetricRegistry* metrics, obs::TraceSession* trace,
-                     CancelToken* kill_token, uint64_t kill_after,
-                     const std::function<void(const DiscoverProgress&)>*
-                         on_progress = nullptr)
-      : path_(std::move(path)),
-        interval_(interval_states == 0 ? 1 : interval_states),
+  FileCheckpointSink(const TupeloOptions& options, const Plan& plan,
+                     Fp128 source_fp, Fp128 target_fp,
+                     CancelToken* kill_token)
+      : options_(options),
+        plan_(plan),
+        interval_(std::max<uint64_t>(1, options.checkpoint_interval_states)),
         source_fp_(source_fp),
         target_fp_(target_fp),
-        ladder_size_(ladder_size),
-        deadline_total_(deadline_total),
-        search_start_(search_start),
-        metrics_(metrics),
-        trace_(trace),
-        kill_token_(kill_token),
-        kill_after_(kill_after),
-        on_progress_(on_progress) {}
+        kill_token_(kill_token) {}
 
-  // Repoints the sink at the rung about to run. `states_budget_left` is
-  // the whole-run state budget before this rung starts. Unless the rung is
-  // being resumed from a frontier (whose checkpoint must not be clobbered
-  // by an empty one), a rung-entry checkpoint is written immediately so a
-  // kill between snapshots restarts at this rung, not an earlier one.
-  void BeginRung(int rung_index, SearchAlgorithm algorithm,
-                 uint64_t states_budget_left, bool resumed_rung) {
+  // Repoints the sink at the attempt about to run. `states_budget_left` is
+  // the whole-run state budget before this attempt starts. With
+  // `write_entry`, a rung-entry checkpoint is written immediately so a kill
+  // between snapshots restarts at this rung, not an earlier one; resumed
+  // rungs and retries pass false so the frontier snapshot already on disk
+  // is not clobbered by an empty one.
+  void BeginAttempt(int rung_index, SearchAlgorithm algorithm,
+                    uint64_t states_budget_left, bool write_entry) {
     rung_index_ = rung_index;
     algorithm_ = std::string(SearchAlgorithmName(algorithm));
     states_budget_left_ = states_budget_left;
     next_due_ = interval_;
-    if (!resumed_rung) {
+    if (write_entry) {
       SearchSeed<Database, Op> empty;
       WriteSnapshot(empty);
     }
@@ -152,7 +160,9 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
 
  private:
   void WriteSnapshot(const SearchSeed<Database, Op>& seed) {
-    obs::TraceSpan span(trace_, obs::TraceCategory::kCheckpoint,
+    obs::MetricRegistry* const metrics = options_.metrics;
+    obs::TraceSession* const trace = options_.trace;
+    obs::TraceSpan span(trace, obs::TraceCategory::kCheckpoint,
                         "checkpoint.write", "rung",
                         static_cast<int64_t>(rung_index_));
     DiscoveryCheckpoint cp;
@@ -160,14 +170,14 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
     cp.target_fp = target_fp_;
     cp.algorithm = algorithm_;
     cp.rung_index = rung_index_;
-    cp.ladder_size = ladder_size_;
+    cp.ladder_size = static_cast<int>(plan_.ladder.size());
     cp.states_left = static_cast<int64_t>(
         states_budget_left_ > seed.states_examined
             ? states_budget_left_ - seed.states_examined
             : 0);
-    if (deadline_total_ > 0) {
-      int64_t left =
-          deadline_total_ - static_cast<int64_t>(MillisSince(search_start_));
+    if (plan_.deadline_millis > 0) {
+      int64_t left = plan_.deadline_millis -
+                     static_cast<int64_t>(MillisSince(plan_.start));
       cp.deadline_left_millis = left > 0 ? left : 0;
     }
     cp.states_examined = seed.states_examined;
@@ -194,54 +204,48 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
     // errors for short writes and close failures (ENOSPC), and those land
     // on the checkpoint.write_failures counter and a trace instant so a
     // run silently losing its crash safety is visible post-mortem.
-    Status wrote = AtomicWriteFile(path_, text);
+    Status wrote = AtomicWriteFile(options_.checkpoint_path, text);
     if (wrote.ok()) {
       ++writes_;
       span.SetEndArg("bytes", static_cast<int64_t>(text.size()));
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("checkpoint.writes").Increment();
-        metrics_->GetCounter("checkpoint.bytes").Increment(text.size());
+      if (metrics != nullptr) {
+        metrics->GetCounter("checkpoint.writes").Increment();
+        metrics->GetCounter("checkpoint.bytes").Increment(text.size());
       }
       // Progress rides the checkpoint cadence: a sample is only reported
       // once it is durable, so a streamed partial mapping is always one a
       // crash-restarted run would also recover.
-      if (on_progress_ != nullptr && *on_progress_) {
+      if (options_.on_progress) {
         DiscoverProgress progress;
         progress.rung_index = rung_index_;
         progress.states_examined = seed.states_examined;
         progress.best_path = &seed.best_path;
         progress.best_h = seed.best_h;
-        (*on_progress_)(progress);
+        options_.on_progress(progress);
       }
-      if (kill_after_ > 0 && writes_ >= kill_after_ &&
-          kill_token_ != nullptr) {
+      if (options_.checkpoint_kill_after > 0 &&
+          writes_ >= options_.checkpoint_kill_after) {
         kill_token_->Cancel();
       }
     } else {
       span.SetEndArg("failed", 1);
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("checkpoint.write_failures").Increment();
+      if (metrics != nullptr) {
+        metrics->GetCounter("checkpoint.write_failures").Increment();
       }
-      if (trace_ != nullptr) {
-        trace_->EmitInstant(obs::TraceCategory::kCheckpoint,
+      if (trace != nullptr) {
+        trace->EmitInstant(obs::TraceCategory::kCheckpoint,
                             "checkpoint.write_failed", "rung",
                             static_cast<int64_t>(rung_index_));
       }
     }
   }
 
-  const std::string path_;
+  const TupeloOptions& options_;
+  const Plan& plan_;
   const uint64_t interval_;
   const Fp128 source_fp_;
   const Fp128 target_fp_;
-  const int ladder_size_;
-  const int64_t deadline_total_;
-  const Clock::time_point search_start_;
-  obs::MetricRegistry* const metrics_;
-  obs::TraceSession* const trace_;
   CancelToken* const kill_token_;
-  const uint64_t kill_after_;
-  const std::function<void(const DiscoverProgress&)>* const on_progress_;
 
   int rung_index_ = 0;
   std::string algorithm_;
@@ -250,34 +254,24 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
   uint64_t writes_ = 0;
 };
 
-}  // namespace
-
-std::vector<DegradationRung> DefaultLadder() {
-  return {{SearchAlgorithm::kIda, 0.6}, {SearchAlgorithm::kBeam, 1.0}};
-}
-
-std::string RunReport::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "search=%.2fms (successors=%.2fms) verify=%.2fms "
-                "simplify=%.2fms",
-                search_millis, successor_millis, verify_millis,
-                simplify_millis);
-  return buf;
-}
-
-Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
-  if (!correspondences_.empty() && registry_ == nullptr) {
+// Plan step: rejects a malformed configuration, then fixes the rung
+// sequence, the starting budget and, with options.resume, the resume point
+// loaded from the checkpoint.
+Result<Plan> PlanDiscover(const TupeloOptions& options, const Tupelo& tupelo) {
+  const Database& source = tupelo.source();
+  const Database& target = tupelo.target();
+  const FunctionRegistry* registry = tupelo.registry();
+  if (!tupelo.correspondences().empty() && registry == nullptr) {
     return Status::FailedPrecondition(
         "semantic correspondences supplied but no function registry set");
   }
-  for (const SemanticCorrespondence& c : correspondences_) {
-    if (registry_ == nullptr || !registry_->Has(c.function)) {
+  for (const SemanticCorrespondence& c : tupelo.correspondences()) {
+    if (!registry->Has(c.function)) {
       return Status::NotFound("correspondence uses unregistered function '" +
                               c.function + "'");
     }
     TUPELO_ASSIGN_OR_RETURN(const ComplexFunction* fn,
-                            registry_->Lookup(c.function));
+                            registry->Lookup(c.function));
     if (fn->arity != c.inputs.size()) {
       return Status::InvalidArgument(
           "correspondence for '" + c.function + "' supplies " +
@@ -289,591 +283,519 @@ Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
                                      "' has an empty output attribute");
     }
   }
-
-  // Validate the heuristic kind once up front (rungs only vary the
-  // algorithm, which can never make MakeHeuristic fail).
-  if (MakeHeuristic(options.heuristic, target_, options.algorithm,
+  // Rungs only vary the algorithm, which can never make MakeHeuristic
+  // fail, so one check covers every rung.
+  if (MakeHeuristic(options.heuristic, target, options.algorithm,
                     options.scale_k) == nullptr) {
     return Status::InvalidArgument("unknown heuristic kind");
   }
-
-  // The rung sequence: the ladder when configured, else one rung running
-  // the configured algorithm on the full budget.
-  std::vector<DegradationRung> ladder = options.ladder;
-  if (ladder.empty()) {
-    ladder.push_back(DegradationRung{options.algorithm, 1.0});
-  }
-
   if (!options.flight_recorder_path.empty() && options.trace == nullptr) {
     return Status::InvalidArgument(
         "TupeloOptions::flight_recorder_path requires a trace session");
   }
-
-  obs::MetricRegistry* metrics = options.metrics;
-  obs::TraceSession* trace = options.trace;
-  // Baselines for the trace.events_* metric mirror and the fault-fire
-  // dump trigger: the session may be shared across several Discover
-  // calls, so only this call's delta counts.
-  const uint64_t trace_recorded_before =
-      trace != nullptr ? trace->events_recorded() : 0;
-  const uint64_t trace_dropped_before =
-      trace != nullptr ? trace->events_dropped() : 0;
-  const uint64_t trace_faults_before =
-      trace != nullptr ? trace->fault_count() : 0;
-  // The whole-run driver span is emitted manually (not RAII) so the
-  // flight-recorder dump below can close it first; error returns leave an
-  // open B, which export-time reconciliation closes at the last event.
-  if (trace != nullptr) {
-    trace->EmitBegin(obs::TraceCategory::kDriver, "discover", "rungs",
-                     static_cast<int64_t>(ladder.size()));
-  }
-  TupeloResult result;
-  SearchOutcome<Op> found_outcome;
-  Clock::time_point search_start = Clock::now();
-  int64_t deadline_total = options.limits.deadline_millis;
-  uint64_t states_left = options.limits.max_states;
-  // The heuristically closest state seen across rungs (anytime result).
-  std::vector<Op> best_partial;
-  int best_partial_h = -1;
-
-  // Checkpoint/resume plumbing (sequential ladder only: the portfolio has
-  // no single rung position to snapshot).
-  const bool checkpointing = !options.checkpoint_path.empty();
-  if ((checkpointing || options.resume) && options.portfolio &&
-      ladder.size() > 1) {
-    return Status::FailedPrecondition(
-        "checkpoint/resume is not supported with the concurrent portfolio");
-  }
-  if (options.resume && !checkpointing) {
+  if (options.resume && options.checkpoint_path.empty()) {
     return Status::InvalidArgument(
         "TupeloOptions::resume requires checkpoint_path");
   }
 
-  size_t first_rung = 0;
-  SearchSeed<Database, Op> resume_seed;
-  bool have_resume_seed = false;
-  if (options.resume) {
-    obs::TraceSpan resume_span(trace, obs::TraceCategory::kCheckpoint,
-                               "resume.load");
-    Result<DiscoveryCheckpoint> loaded =
-        LoadCheckpointFile(options.checkpoint_path);
-    if (!loaded.ok() && loaded.status().code() == StatusCode::kNotFound) {
-      // Killed before the first write: nothing to resume, fresh start.
-    } else if (!loaded.ok()) {
-      return loaded.status();
-    } else {
-      const DiscoveryCheckpoint& cp = *loaded;
-      if (!(cp.source_fp == source_.Fingerprint128()) ||
-          !(cp.target_fp == target_.Fingerprint128())) {
-        return Status::FailedPrecondition(
-            "checkpoint was written by a different workload");
-      }
-      if (cp.ladder_size != static_cast<int>(ladder.size()) ||
-          cp.rung_index >= static_cast<int>(ladder.size()) ||
-          cp.algorithm !=
-              SearchAlgorithmName(ladder[cp.rung_index].algorithm)) {
-        return Status::FailedPrecondition(
-            "checkpoint does not match this run's ladder");
-      }
-      first_rung = static_cast<size_t>(cp.rung_index);
-      states_left =
-          cp.states_left > 0 ? static_cast<uint64_t>(cp.states_left) : 0;
-      if (deadline_total > 0) deadline_total = cp.deadline_left_millis;
-      best_partial = cp.best_path;
-      best_partial_h = cp.best_h;
-      resume_seed.states_examined = cp.states_examined;
-      resume_seed.best_path = cp.best_path;
-      resume_seed.best_h = cp.best_h;
-      resume_seed.ida_bound = cp.ida_bound;
-      resume_seed.beam_depth = cp.beam_depth;
-      resume_seed.frontier.reserve(cp.frontier.size());
-      for (const CheckpointFrontierEntry& e : cp.frontier) {
-        resume_seed.frontier.push_back({e.state, e.path, e.h});
-      }
-      resume_seed.open.reserve(cp.open.size());
-      for (const CheckpointOpenEntry& e : cp.open) {
-        // Open-list states are not stored; replay them from their action
-        // paths (operators are deterministic).
-        TUPELO_ASSIGN_OR_RETURN(
-            Database state,
-            MappingExpression(e.path).Apply(source_, registry_));
-        resume_seed.open.push_back({std::move(state), e.path, e.key, e.seq});
-      }
-      resume_seed.next_seq = cp.next_seq;
-      resume_seed.closed = cp.closed;
-      have_resume_seed = true;
-      result.resumed = true;
-      result.resume_rungs_skipped = static_cast<int>(first_rung);
-      if (metrics != nullptr && first_rung > 0) {
-        metrics->GetCounter("checkpoint.resume.rungs_skipped")
-            .Increment(first_rung);
-      }
+  Plan plan;
+  plan.ladder = options.ladder;
+  if (plan.ladder.empty()) {
+    plan.ladder.push_back(DegradationRung{options.algorithm, 1.0});
+  }
+  plan.start = Clock::now();
+  plan.states_left = options.limits.max_states;
+  plan.deadline_millis = options.limits.deadline_millis;
+  if (!options.resume) return plan;
+
+  obs::TraceSpan resume_span(options.trace, obs::TraceCategory::kCheckpoint,
+                             "resume.load");
+  Result<DiscoveryCheckpoint> loaded =
+      LoadCheckpointFile(options.checkpoint_path);
+  if (!loaded.ok() && loaded.status().code() == StatusCode::kNotFound) {
+    return plan;  // killed before the first write: a fresh start
+  }
+  if (!loaded.ok()) return loaded.status();
+  const DiscoveryCheckpoint& cp = *loaded;
+  if (!(cp.source_fp == source.Fingerprint128()) ||
+      !(cp.target_fp == target.Fingerprint128())) {
+    return Status::FailedPrecondition(
+        "checkpoint was written by a different workload");
+  }
+  if (cp.ladder_size != static_cast<int>(plan.ladder.size()) ||
+      cp.rung_index >= static_cast<int>(plan.ladder.size()) ||
+      cp.algorithm !=
+          SearchAlgorithmName(plan.ladder[cp.rung_index].algorithm)) {
+    return Status::FailedPrecondition(
+        "checkpoint does not match this run's ladder");
+  }
+  plan.first_rung = static_cast<size_t>(cp.rung_index);
+  plan.states_left =
+      cp.states_left > 0 ? static_cast<uint64_t>(cp.states_left) : 0;
+  if (plan.deadline_millis > 0) plan.deadline_millis = cp.deadline_left_millis;
+  SearchSeed<Database, Op>& seed = plan.resume_seed;
+  seed.states_examined = cp.states_examined;
+  seed.best_path = cp.best_path;
+  seed.best_h = cp.best_h;
+  seed.ida_bound = cp.ida_bound;
+  seed.beam_depth = cp.beam_depth;
+  seed.frontier.reserve(cp.frontier.size());
+  for (const CheckpointFrontierEntry& e : cp.frontier) {
+    seed.frontier.push_back({e.state, e.path, e.h});
+  }
+  seed.open.reserve(cp.open.size());
+  for (const CheckpointOpenEntry& e : cp.open) {
+    // Open-list states are not stored; replay them from their action
+    // paths (operators are deterministic).
+    TUPELO_ASSIGN_OR_RETURN(Database state,
+                            MappingExpression(e.path).Apply(source, registry));
+    seed.open.push_back({std::move(state), e.path, e.key, e.seq});
+  }
+  seed.next_seq = cp.next_seq;
+  seed.closed = cp.closed;
+  plan.resumed = true;
+  if (options.metrics != nullptr && plan.first_rung > 0) {
+    options.metrics->GetCounter("checkpoint.resume.rungs_skipped")
+        .Increment(plan.first_rung);
+  }
+  return plan;
+}
+
+// The governor.* counter a stop trips, or null for stops it does not count.
+const char* GovernorTripCounter(StopReason stop) {
+  switch (stop) {
+    case StopReason::kDeadline:
+      return "governor.deadline_trips";
+    case StopReason::kCancelled:
+      return "governor.cancellations";
+    case StopReason::kMemory:
+      return "governor.memory_trips";
+    case StopReason::kStalled:
+      return "governor.stall_trips";
+    default:
+      return nullptr;
+  }
+}
+
+// Runs a plan's rungs in order and books every attempt into `result`. It
+// owns what the attempts of one call share: the budget left, the
+// checkpoint sink, supervision and the worker pool. The heartbeat slot
+// and the pool task tracer are declared before the pool so they outlive
+// the workers that stamp and call them (a worker bumps `beats` after
+// finishing a task, which can land just after the search's own barrier
+// has released).
+class LadderRun {
+ public:
+  LadderRun(const TupeloOptions& options, const Plan& plan,
+            const Tupelo& tupelo, TupeloResult* result)
+      : options_(options),
+        plan_(plan),
+        tupelo_(tupelo),
+        result_(*result),
+        metrics_(options.metrics),
+        trace_(options.trace),
+        states_left_(plan.states_left),
+        pool_task_tracer_(options.trace) {
+    if (plan.resumed) {
+      best_partial_ = plan.resume_seed.best_path;
+      best_partial_h_ = plan.resume_seed.best_h;
+    }
+    if (!options.checkpoint_path.empty()) {
+      // A crash between AtomicWriteFile's write and rename leaves
+      // `<path>.tmp` behind. It is never valid input (loads read only the
+      // final path), so sweep it before the first write of this run.
+      RemoveStaleCheckpointTmp(options.checkpoint_path);
+      kill_token_ = std::make_unique<CancelToken>(options.limits.cancel);
+      sink_ = std::make_unique<FileCheckpointSink>(
+          options, plan, tupelo.source().Fingerprint128(),
+          tupelo.target().Fingerprint128(), kill_token_.get());
+    }
+    // Genuine cancellation comes from the kill seam (when checkpointing)
+    // or the caller's token; a supervisor's preempt token is parented on
+    // it so a caller cancel still lands instantly.
+    cancel_ =
+        kill_token_ != nullptr ? kill_token_.get() : options.limits.cancel;
+    if (options.supervisor.enabled) {
+      quarantine_ = std::make_unique<StateQuarantine>(
+          options.supervisor.quarantine_capacity);
+      supervisor_ = std::make_unique<runtime::Supervisor>(options.supervisor,
+                                                          metrics_, trace_);
+    }
+    threads_ = std::max<size_t>(
+        1, options.pool != nullptr ? options.pool->size() : options.threads);
+    if (metrics_ != nullptr) {
+      metrics_->GetGauge("runtime.threads").Set(static_cast<int64_t>(threads_));
     }
   }
 
-  std::unique_ptr<CancelToken> kill_token;
-  std::unique_ptr<FileCheckpointSink> sink;
-  if (checkpointing) {
-    // Hygiene: a crash between AtomicWriteFile's write and rename leaves
-    // `<path>.tmp` behind. It is never valid input (loads read only the
-    // final path), so sweep it before the first write of this run.
-    RemoveStaleCheckpointTmp(options.checkpoint_path);
-    kill_token = std::make_unique<CancelToken>(options.limits.cancel);
-    sink = std::make_unique<FileCheckpointSink>(
-        options.checkpoint_path, options.checkpoint_interval_states,
-        source_.Fingerprint128(), target_.Fingerprint128(),
-        static_cast<int>(ladder.size()), deadline_total, search_start,
-        metrics, trace, kill_token.get(), options.checkpoint_kill_after,
-        &options.on_progress);
-  }
+  LadderRun(const LadderRun&) = delete;
+  LadderRun& operator=(const LadderRun&) = delete;
 
-  // Self-healing supervision (sequential ladder only: portfolio rungs own
-  // their budgets and cancel one another already). The heartbeat slot is
-  // declared before the pool so it outlives the workers that stamp it —
-  // a worker bumps `beats` after finishing a task, which can land just
-  // after the search's own barrier has released.
-  const bool supervised =
-      options.supervisor.enabled && !(options.portfolio && ladder.size() > 1);
-  HeartbeatSlot heartbeat;
-  std::atomic<uint32_t> width_pressure{0};
-  std::unique_ptr<StateQuarantine> quarantine;
-  std::unique_ptr<runtime::Supervisor> supervisor;
-  if (supervised) {
-    quarantine =
-        std::make_unique<StateQuarantine>(options.supervisor.quarantine_capacity);
-    supervisor = std::make_unique<runtime::Supervisor>(options.supervisor,
-                                                       metrics, trace);
-  }
-
-  // The parallel runtime: one pool per Discover call, joined before
-  // return. Beam rungs fan their levels out over it. The task tracer is
-  // declared before the pool so it outlives the workers that call it.
-  obs::PoolTaskTracer pool_task_tracer(trace);
-  size_t threads = std::max<size_t>(1, options.threads);
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = options.pool;
-  if (pool != nullptr) {
-    // Shared pool: beam rungs fan out over the caller's pool. Its trace
-    // hook and task heartbeat belong to the owner — a per-call install
-    // would race with sibling Discover calls sharing the same pool — so
-    // supervised stall detection relies on the search thread's beats.
-    threads = std::max<size_t>(1, pool->size());
-  } else if (threads > 1) {
-    owned_pool = std::make_unique<ThreadPool>(threads);
-    pool = owned_pool.get();
-    if (trace != nullptr) pool->set_trace_hook(&pool_task_tracer);
-    if (supervised) pool->set_task_heartbeat(&heartbeat.beats);
-  }
-  if (metrics != nullptr) {
-    metrics->GetGauge("runtime.threads").Set(static_cast<int64_t>(threads));
-  }
-
-  if (options.portfolio && ladder.size() > 1) {
-    // Concurrent portfolio: all rungs start at once, each on its own
-    // thread with the full budget (there is no fallback order to ration).
-    // The first rung whose mapping replays correctly claims the win and
-    // cancels the rest through their parented tokens.
-    //
-    // Prewarm the shared instances' lazy fingerprint caches while still
-    // single-threaded: rung problems and verification replays all read
-    // source_/target_ concurrently.
-    source_.Fingerprint128();
-    target_.Fingerprint128();
-
-    struct PortfolioRun {
-      SearchOutcome<Op> outcome;
-      double millis = 0.0;
-      bool verified = false;
-    };
-    std::vector<std::unique_ptr<MappingProblem>> problems;
-    std::vector<std::unique_ptr<CancelToken>> tokens;
-    problems.reserve(ladder.size());
-    tokens.reserve(ladder.size());
-    for (size_t i = 0; i < ladder.size(); ++i) {
-      problems.push_back(std::make_unique<MappingProblem>(
-          source_, target_,
-          MakeHeuristic(options.heuristic, target_, ladder[i].algorithm,
-                        options.scale_k),
-          registry_, correspondences_, options.successors));
-      problems.back()->set_metrics(metrics);
-      problems.back()->set_trace(trace);
-      tokens.push_back(std::make_unique<CancelToken>(options.limits.cancel));
-    }
-    std::vector<PortfolioRun> runs(ladder.size());
-    std::mutex winner_mu;
-    int winner = -1;
-    if (metrics != nullptr) {
-      metrics->GetCounter("runtime.portfolio.rungs")
-          .Increment(ladder.size());
-    }
-
-    {
-      std::vector<std::thread> rung_threads;
-      rung_threads.reserve(ladder.size());
-      for (size_t i = 0; i < ladder.size(); ++i) {
-        rung_threads.emplace_back([&, i] {
-          SearchLimits rung_limits = options.limits;
-          rung_limits.cancel = tokens[i].get();
-          Clock::time_point rung_start = Clock::now();
-          SearchOutcome<Op> outcome =
-              RunRung(ladder[i].algorithm, *problems[i], options.beam_width,
-                      pool, rung_limits, metrics, nullptr, trace);
-          runs[i].millis = MillisSince(rung_start);
-          if (outcome.found) {
-            // Verify here, in the rung thread: an unverifiable mapping
-            // must not cancel a rung that could still produce a correct
-            // one.
-            obs::TraceSpan verify_span(trace, obs::TraceCategory::kVerify,
-                                       "verify");
-            Result<Database> replay = SafeReplay(
-                MappingExpression(outcome.path), source_, registry_);
-            runs[i].verified = replay.ok() && replay->Contains(target_);
-            verify_span.SetEndArg("ok", runs[i].verified ? 1 : 0);
-          }
-          runs[i].outcome = std::move(outcome);
-          if (runs[i].verified) {
-            std::lock_guard<std::mutex> lock(winner_mu);
-            if (winner < 0) {
-              winner = static_cast<int>(i);
-              for (size_t j = 0; j < tokens.size(); ++j) {
-                if (j != i) tokens[j]->Cancel();
-              }
-            }
-          }
-        });
+  // Runs the rungs from plan.first_rung until one finds a mapping, the
+  // caller cancels, the deadline expires, or the ladder ends. Returns the
+  // found path (empty unless result.found).
+  std::vector<Op> Run() {
+    std::vector<Op> found_path;
+    for (size_t i = plan_.first_rung; i < plan_.ladder.size(); ++i) {
+      if (i > plan_.first_rung && metrics_ != nullptr) {
+        metrics_->GetCounter("governor.fallback_activations").Increment();
       }
-      for (std::thread& t : rung_threads) t.join();
-    }
-
-    // Record attempts in ladder order regardless of finish order, so
-    // reports are stable run to run.
-    for (size_t i = 0; i < ladder.size(); ++i) {
-      const PortfolioRun& run = runs[i];
-      result.rungs.push_back(RungAttempt{ladder[i].algorithm,
-                                         run.outcome.stop,
-                                         run.outcome.stats.states_examined,
-                                         run.millis});
-      if (metrics != nullptr) {
-        metrics->GetCounter("governor.rungs_attempted").Increment();
-        metrics
-            ->GetCounter(
-                std::string("governor.rung.") +
-                std::string(SearchAlgorithmName(ladder[i].algorithm)) +
-                ".nanos")
-            .Increment(static_cast<uint64_t>(run.millis * 1e6));
-        switch (run.outcome.stop) {
-          case StopReason::kDeadline:
-            metrics->GetCounter("governor.deadline_trips").Increment();
-            break;
-          case StopReason::kCancelled:
-            metrics->GetCounter("governor.cancellations").Increment();
-            break;
-          case StopReason::kMemory:
-            metrics->GetCounter("governor.memory_trips").Increment();
-            break;
-          default:
-            break;
-        }
-      }
-      result.stats.states_examined += run.outcome.stats.states_examined;
-      result.stats.states_generated += run.outcome.stats.states_generated;
-      result.stats.iterations += run.outcome.stats.iterations;
-      result.stats.peak_memory_nodes =
-          std::max(result.stats.peak_memory_nodes,
-                   run.outcome.stats.peak_memory_nodes);
-      if (run.outcome.best_h >= 0 &&
-          (best_partial_h < 0 || run.outcome.best_h < best_partial_h)) {
-        best_partial_h = run.outcome.best_h;
-        best_partial = run.outcome.best_path;
-      }
-    }
-    // A found-but-unverifiable mapping still surfaces (found=true with a
-    // failing verify_status), matching the sequential ladder's behavior —
-    // it just never cancels the other rungs.
-    if (winner < 0) {
-      for (size_t i = 0; i < runs.size(); ++i) {
-        if (runs[i].outcome.found) {
-          winner = static_cast<int>(i);
-          break;
-        }
-      }
-    }
-    if (winner >= 0) {
-      result.found = true;
-      result.stats.solution_cost =
-          runs[winner].outcome.stats.solution_cost;
-      result.stop_reason = runs[winner].outcome.stop;
-      found_outcome = std::move(runs[winner].outcome);
-      if (metrics != nullptr) {
-        metrics->GetCounter("runtime.portfolio.losers_cancelled")
-            .Increment(ladder.size() - 1);
-      }
-    } else {
-      result.stop_reason = runs.back().outcome.stop;
-    }
-  } else
-  for (size_t i = first_rung; i < ladder.size(); ++i) {
-    const bool last = i + 1 == ladder.size();
-    if (i > first_rung && metrics != nullptr) {
-      metrics->GetCounter("governor.fallback_activations").Increment();
-    }
-
-    SearchLimits rung_limits = options.limits;
-    rung_limits.max_states = RungSlice(states_left, ladder[i].budget_share,
-                                       last);
-    if (deadline_total > 0) {
-      int64_t remaining =
-          deadline_total - static_cast<int64_t>(MillisSince(search_start));
-      if (remaining <= 0) {
-        // The overall deadline expired between rungs: record the skipped
-        // rung as an immediate deadline trip so the report shows it.
-        result.rungs.push_back(
-            RungAttempt{ladder[i].algorithm, StopReason::kDeadline, 0, 0.0});
-        result.stop_reason = StopReason::kDeadline;
-        if (metrics != nullptr) {
-          metrics->GetCounter("governor.deadline_trips").Increment();
-        }
+      std::optional<SearchOutcome<Op>> outcome = RunRungAttempts(i);
+      if (!outcome.has_value()) {
+        result_.stop_reason = StopReason::kDeadline;
         break;
       }
-      rung_limits.deadline_millis = static_cast<int64_t>(RungSlice(
-          static_cast<uint64_t>(remaining), ladder[i].budget_share, last));
+      result_.stop_reason = outcome->stop;
+      if (outcome->found) {
+        result_.found = true;
+        result_.stats.solution_cost = outcome->stats.solution_cost;
+        found_path = std::move(outcome->path);
+        break;
+      }
+      // kExhausted on a complete algorithm is conclusive, but later rungs
+      // are cheap and the sweep may have been cut by the per-rung slice on
+      // a previous rung, so the ladder only stops early when the caller
+      // cancelled (retrying cannot help) or this was the last rung.
+      if (outcome->stop == StopReason::kCancelled) break;
+      if (options_.limits.cancel != nullptr &&
+          options_.limits.cancel->cancelled()) {
+        result_.stop_reason = StopReason::kCancelled;
+        break;
+      }
     }
+    Finish();
+    return found_path;
+  }
 
-    std::unique_ptr<Heuristic> heuristic =
-        MakeHeuristic(options.heuristic, target_, ladder[i].algorithm,
-                      options.scale_k);
-    MappingProblem problem(source_, target_, std::move(heuristic), registry_,
-                           correspondences_, options.successors);
-    problem.set_metrics(metrics);
-    problem.set_trace(trace);
-
-    const bool resumed_rung = have_resume_seed && i == first_rung;
-    if (sink != nullptr) {
-      sink->BeginRung(static_cast<int>(i), ladder[i].algorithm, states_left,
-                      resumed_rung);
-      rung_limits.checkpoint_sink = sink.get();
-      rung_limits.cancel = kill_token.get();
-    }
-
-    // Genuine cancellation for this rung comes from the kill seam (when
-    // checkpointing) or the caller's token; the supervisor's preempt
-    // token is parented on it so a caller cancel still lands instantly.
-    CancelToken* const ladder_cancel =
-        sink != nullptr ? kill_token.get() : options.limits.cancel;
-
-    // A stall-preempted rung is retried in place with exponential backoff
-    // (transient faults — a slow disk, an injected delay — clear on their
-    // own); anything else runs the attempt loop exactly once.
+ private:
+  struct Attempt {
     SearchOutcome<Op> outcome;
+    double millis = 0.0;
+  };
+
+  // Runs rung `i` until an attempt ends without earning a retry: a
+  // stall-preempted attempt is retried in place with exponential backoff
+  // (transient faults such as a slow disk or an injected delay clear on
+  // their own). Returns the last attempt's outcome, or nullopt when the
+  // call's deadline expired before an attempt could start.
+  std::optional<SearchOutcome<Op>> RunRungAttempts(size_t i) {
+    const SearchAlgorithm algorithm = plan_.ladder[i].algorithm;
+    MappingProblem problem(
+        tupelo_.source(), tupelo_.target(),
+        MakeHeuristic(options_.heuristic, tupelo_.target(), algorithm,
+                      options_.scale_k),
+        tupelo_.registry(), tupelo_.correspondences(), options_.successors);
+    problem.set_metrics(metrics_);
+    problem.set_trace(trace_);
     int64_t backoff_millis =
-        std::max<int64_t>(1, options.supervisor.retry_backoff_millis);
+        std::max<int64_t>(1, options_.supervisor.retry_backoff_millis);
     for (int attempt = 0;; ++attempt) {
-      SearchLimits attempt_limits = rung_limits;
-      CancelToken rung_token(ladder_cancel);
-      int64_t watch_id = -1;
-      if (supervised) {
-        attempt_limits.cancel = &rung_token;
-        attempt_limits.heartbeat = &heartbeat;
-        attempt_limits.quarantine = quarantine.get();
-        attempt_limits.width_pressure = &width_pressure;
-        runtime::WatchSpec spec;
-        spec.heartbeat = &heartbeat;
-        spec.preempt = &rung_token;
-        spec.max_memory_nodes = attempt_limits.max_memory_nodes;
-        spec.memory_relief = [&problem] { problem.TrimCaches(); };
-        spec.width_pressure = &width_pressure;
-        spec.label = SearchAlgorithmName(ladder[i].algorithm).data();
-        watch_id = supervisor->Watch(spec);
+      std::optional<Attempt> ran = RunAttempt(i, problem, attempt == 0);
+      if (!ran.has_value()) {
+        // Record the skipped attempt as an immediate deadline trip so the
+        // report shows it.
+        result_.rungs.push_back(
+            RungAttempt{algorithm, StopReason::kDeadline, 0, 0.0});
+        if (metrics_ != nullptr) {
+          metrics_->GetCounter("governor.deadline_trips").Increment();
+        }
+        return std::nullopt;
       }
-
-      Clock::time_point rung_start = Clock::now();
-      outcome =
-          RunRung(ladder[i].algorithm, problem, options.beam_width,
-                  pool, attempt_limits, metrics,
-                  resumed_rung ? &resume_seed : nullptr, trace);
-      double rung_millis = MillisSince(rung_start);
-
-      runtime::PreemptReason why = runtime::PreemptReason::kNone;
-      if (watch_id >= 0) {
-        why = supervisor->preemption(watch_id);
-        supervisor->Unwatch(watch_id);
+      Record(algorithm, ran->outcome, ran->millis);
+      if (supervisor_ == nullptr ||
+          ran->outcome.stop != StopReason::kStalled ||
+          attempt >= options_.supervisor.max_rung_retries ||
+          (cancel_ != nullptr && cancel_->cancelled())) {
+        return std::move(ran->outcome);
       }
-      // The rung observed its preempt token as a plain cancel; rewrite
+      ++result_.rung_retries;
+      if (metrics_ != nullptr) {
+        metrics_->GetCounter("supervisor.rung_retries").Increment();
+      }
+      if (trace_ != nullptr) {
+        trace_->EmitInstant(obs::TraceCategory::kFault,
+                            "supervisor.rung_retry", "rung",
+                            static_cast<int64_t>(i), "attempt",
+                            static_cast<int64_t>(attempt + 1));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_millis));
+      backoff_millis *= 2;
+    }
+  }
+
+  // Run-attempt step: one attempt of rung `i`. Its state and deadline
+  // limits are cut from what is left of the call's budget when it starts,
+  // so a retry never outspends the call. Returns nullopt, without
+  // searching, when the deadline has already expired.
+  std::optional<Attempt> RunAttempt(size_t i, MappingProblem& problem,
+                                    bool first_attempt) {
+    const DegradationRung& rung = plan_.ladder[i];
+    const bool last = i + 1 == plan_.ladder.size();
+    SearchLimits limits = options_.limits;
+    limits.max_states = RungSlice(states_left_, rung.budget_share, last);
+    if (plan_.deadline_millis > 0) {
+      int64_t remaining = plan_.deadline_millis -
+                          static_cast<int64_t>(MillisSince(plan_.start));
+      if (remaining <= 0) return std::nullopt;
+      limits.deadline_millis = static_cast<int64_t>(RungSlice(
+          static_cast<uint64_t>(remaining), rung.budget_share, last));
+    }
+    const SearchSeed<Database, Op>* seed =
+        plan_.resumed && i == plan_.first_rung ? &plan_.resume_seed : nullptr;
+    if (sink_ != nullptr) {
+      sink_->BeginAttempt(static_cast<int>(i), rung.algorithm, states_left_,
+                          first_attempt && seed == nullptr);
+      limits.checkpoint_sink = sink_.get();
+      limits.cancel = cancel_;
+    }
+
+    std::optional<CancelToken> preempt;
+    int64_t watch_id = -1;
+    if (supervisor_ != nullptr) {
+      limits.cancel = &preempt.emplace(cancel_);
+      limits.heartbeat = &heartbeat_;
+      limits.quarantine = quarantine_.get();
+      limits.width_pressure = &width_pressure_;
+      runtime::WatchSpec spec;
+      spec.heartbeat = &heartbeat_;
+      spec.preempt = &*preempt;
+      spec.max_memory_nodes = limits.max_memory_nodes;
+      spec.memory_relief = [&problem] { problem.TrimCaches(); };
+      spec.width_pressure = &width_pressure_;
+      spec.label = SearchAlgorithmName(rung.algorithm).data();
+      watch_id = supervisor_->Watch(spec);
+    }
+
+    ThreadPool* pool = PoolFor(rung.algorithm);
+    Clock::time_point attempt_start = Clock::now();
+    Attempt ran{RunRung(rung.algorithm, problem, options_.beam_width, pool,
+                        limits, metrics_, seed, trace_),
+                0.0};
+    ran.millis = MillisSince(attempt_start);
+
+    if (watch_id >= 0) {
+      runtime::PreemptReason why = supervisor_->preemption(watch_id);
+      supervisor_->Unwatch(watch_id);
+      // The search observed its preempt token as a plain cancel; rewrite
       // the stop to what the supervisor actually diagnosed. A genuine
       // caller/kill cancel wins over any concurrent preemption.
-      if (outcome.stop == StopReason::kCancelled &&
-          !(ladder_cancel != nullptr && ladder_cancel->cancelled())) {
+      if (ran.outcome.stop == StopReason::kCancelled &&
+          !(cancel_ != nullptr && cancel_->cancelled())) {
         if (why == runtime::PreemptReason::kStall) {
-          outcome.stop = StopReason::kStalled;
+          ran.outcome.stop = StopReason::kStalled;
         } else if (why == runtime::PreemptReason::kMemory) {
-          outcome.stop = StopReason::kMemory;
+          ran.outcome.stop = StopReason::kMemory;
         }
       }
-
-      result.rungs.push_back(RungAttempt{ladder[i].algorithm, outcome.stop,
-                                         outcome.stats.states_examined,
-                                         rung_millis});
-      if (metrics != nullptr) {
-        metrics->GetCounter("governor.rungs_attempted").Increment();
-        metrics
-            ->GetCounter(
-                std::string("governor.rung.") +
-                std::string(SearchAlgorithmName(ladder[i].algorithm)) +
-                ".nanos")
-            .Increment(static_cast<uint64_t>(rung_millis * 1e6));
-        switch (outcome.stop) {
-          case StopReason::kDeadline:
-            metrics->GetCounter("governor.deadline_trips").Increment();
-            break;
-          case StopReason::kCancelled:
-            metrics->GetCounter("governor.cancellations").Increment();
-            break;
-          case StopReason::kMemory:
-            metrics->GetCounter("governor.memory_trips").Increment();
-            break;
-          case StopReason::kStalled:
-            metrics->GetCounter("governor.stall_trips").Increment();
-            break;
-          default:
-            break;
-        }
-      }
-
-      result.stats.states_examined += outcome.stats.states_examined;
-      result.stats.states_generated += outcome.stats.states_generated;
-      result.stats.iterations += outcome.stats.iterations;
-      result.stats.peak_memory_nodes = std::max(
-          result.stats.peak_memory_nodes, outcome.stats.peak_memory_nodes);
-      states_left -= std::min(states_left, outcome.stats.states_examined);
-      if (outcome.best_h >= 0 &&
-          (best_partial_h < 0 || outcome.best_h < best_partial_h)) {
-        best_partial_h = outcome.best_h;
-        best_partial = outcome.best_path;
-      }
-
-      if (supervised && outcome.stop == StopReason::kStalled &&
-          attempt < options.supervisor.max_rung_retries &&
-          !(ladder_cancel != nullptr && ladder_cancel->cancelled())) {
-        ++result.rung_retries;
-        if (metrics != nullptr) {
-          metrics->GetCounter("supervisor.rung_retries").Increment();
-        }
-        if (trace != nullptr) {
-          trace->EmitInstant(obs::TraceCategory::kFault,
-                             "supervisor.rung_retry", "rung",
-                             static_cast<int64_t>(i), "attempt",
-                             static_cast<int64_t>(attempt + 1));
-        }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(backoff_millis));
-        backoff_millis *= 2;
-        continue;
-      }
-      break;
     }
-    result.stop_reason = outcome.stop;
-
-    if (outcome.found) {
-      result.found = true;
-      result.stats.solution_cost = outcome.stats.solution_cost;
-      found_outcome = std::move(outcome);
-      break;
-    }
-    // kExhausted on a complete algorithm is conclusive, but later rungs
-    // are cheap and the sweep may have been cut by the per-rung slice on
-    // a previous rung, so the ladder only stops early when the caller
-    // cancelled (retrying cannot help) or this was the last rung.
-    if (outcome.stop == StopReason::kCancelled) break;
-    if (options.limits.cancel != nullptr &&
-        options.limits.cancel->cancelled()) {
-      result.stop_reason = StopReason::kCancelled;
-      break;
-    }
+    return ran;
   }
-  result.report.search_millis = MillisSince(search_start);
-  if (sink != nullptr) result.checkpoint_writes = sink->writes();
 
-  if (supervised) {
-    result.stall_preemptions = supervisor->stall_preemptions();
-    result.memory_reliefs =
-        supervisor->memory_reliefs() + supervisor->width_trims();
-    result.states_quarantined = quarantine->poisoned();
-    if (metrics != nullptr && result.states_quarantined > 0) {
-      metrics->GetCounter("supervisor.states_quarantined")
-          .Increment(result.states_quarantined);
+  // Beam rungs fan their levels out over options.pool, or over a pool
+  // this call creates when its first beam rung starts; no other algorithm
+  // uses one. A shared pool's trace hook and task heartbeat belong to its
+  // owner (a per-call install would race with sibling Discover calls), so
+  // supervised stall detection then relies on the search thread's beats.
+  ThreadPool* PoolFor(SearchAlgorithm algorithm) {
+    if (options_.pool != nullptr || threads_ == 1 ||
+        algorithm != SearchAlgorithm::kBeam) {
+      return options_.pool;
+    }
+    if (owned_pool_ == nullptr) {
+      owned_pool_ = std::make_unique<ThreadPool>(threads_);
+      if (trace_ != nullptr) owned_pool_->set_trace_hook(&pool_task_tracer_);
+      if (supervisor_ != nullptr) {
+        owned_pool_->set_task_heartbeat(&heartbeat_.beats);
+      }
+    }
+    return owned_pool_.get();
+  }
+
+  // Record step: books one finished attempt into its RungAttempt entry,
+  // the governor.* counters, the call's summed stats and remaining budget,
+  // and the best partial mapping so far.
+  void Record(SearchAlgorithm algorithm, const SearchOutcome<Op>& outcome,
+              double millis) {
+    result_.rungs.push_back(RungAttempt{algorithm, outcome.stop,
+                                        outcome.stats.states_examined,
+                                        millis});
+    if (metrics_ != nullptr) {
+      metrics_->GetCounter("governor.rungs_attempted").Increment();
+      metrics_
+          ->GetCounter(std::string("governor.rung.") +
+                       std::string(SearchAlgorithmName(algorithm)) + ".nanos")
+          .Increment(static_cast<uint64_t>(millis * 1e6));
+      if (const char* trip = GovernorTripCounter(outcome.stop)) {
+        metrics_->GetCounter(trip).Increment();
+      }
+    }
+    SearchStats& stats = result_.stats;
+    stats.states_examined += outcome.stats.states_examined;
+    stats.states_generated += outcome.stats.states_generated;
+    stats.iterations += outcome.stats.iterations;
+    stats.peak_memory_nodes =
+        std::max(stats.peak_memory_nodes, outcome.stats.peak_memory_nodes);
+    states_left_ -= std::min(states_left_, outcome.stats.states_examined);
+    if (outcome.best_h >= 0 &&
+        (best_partial_h_ < 0 || outcome.best_h < best_partial_h_)) {
+      best_partial_h_ = outcome.best_h;
+      best_partial_ = outcome.best_path;
     }
   }
 
-  result.partial_mapping = MappingExpression(std::move(best_partial));
-  result.partial_h = best_partial_h;
+  // Books what outlives the attempts: the anytime partial mapping, the
+  // checkpoint writes, and the supervisor's interventions.
+  void Finish() {
+    result_.partial_mapping = MappingExpression(std::move(best_partial_));
+    result_.partial_h = best_partial_h_;
+    if (sink_ != nullptr) result_.checkpoint_writes = sink_->writes();
+    if (supervisor_ != nullptr) {
+      result_.stall_preemptions = supervisor_->stall_preemptions();
+      result_.memory_reliefs =
+          supervisor_->memory_reliefs() + supervisor_->width_trims();
+      result_.states_quarantined = quarantine_->poisoned();
+      if (metrics_ != nullptr && result_.states_quarantined > 0) {
+        metrics_->GetCounter("supervisor.states_quarantined")
+            .Increment(result_.states_quarantined);
+      }
+    }
+  }
+
+  const TupeloOptions& options_;
+  const Plan& plan_;
+  const Tupelo& tupelo_;
+  TupeloResult& result_;
+  obs::MetricRegistry* const metrics_;
+  obs::TraceSession* const trace_;
+
+  uint64_t states_left_;
+  std::vector<Op> best_partial_;
+  int best_partial_h_ = -1;
+
+  std::unique_ptr<CancelToken> kill_token_;
+  std::unique_ptr<FileCheckpointSink> sink_;
+  CancelToken* cancel_ = nullptr;
+
+  HeartbeatSlot heartbeat_;
+  std::atomic<uint32_t> width_pressure_{0};
+  std::unique_ptr<StateQuarantine> quarantine_;
+  std::unique_ptr<runtime::Supervisor> supervisor_;
+
+  obs::PoolTaskTracer pool_task_tracer_;
+  size_t threads_ = 1;
+  std::unique_ptr<ThreadPool> owned_pool_;
+};
+
+// Verify step: optionally simplifies the found mapping, then replays it on
+// the source and checks that the result contains the target.
+void Verify(const TupeloOptions& options, const Tupelo& tupelo,
+            std::vector<Op> path, TupeloResult* result) {
+  obs::MetricRegistry* const metrics = options.metrics;
+  result->mapping = MappingExpression(std::move(path));
+  if (options.simplify) {
+    Clock::time_point simplify_start = Clock::now();
+    obs::TraceSpan simplify_span(options.trace, obs::TraceCategory::kDriver,
+                                 "simplify");
+    result->mapping = Simplify(result->mapping);
+    if (metrics != nullptr) {
+      metrics->GetCounter("phase.simplify.nanos")
+          .Increment(static_cast<uint64_t>(MillisSince(simplify_start) * 1e6));
+    }
+  }
+  Clock::time_point verify_start = Clock::now();
+  obs::TraceSpan verify_span(options.trace, obs::TraceCategory::kVerify,
+                             "verify");
+  Result<Database> replay =
+      SafeReplay(result->mapping, tupelo.source(), tupelo.registry());
+  if (!replay.ok()) {
+    result->verify_status = replay.status();
+  } else if (!replay->Contains(tupelo.target())) {
+    result->verify_status = Status::Internal(
+        "replayed mapping does not contain the target instance");
+  }
+  result->verified = result->verify_status.ok();
+  verify_span.SetEndArg("ok", result->verified ? 1 : 0);
+  if (metrics != nullptr) {
+    metrics->GetCounter("phase.verify.nanos")
+        .Increment(static_cast<uint64_t>(MillisSince(verify_start) * 1e6));
+  }
+}
+
+// A trace session's counters when a Discover call starts. The session may
+// be shared across several calls, so only this call's delta counts.
+struct TraceMark {
+  explicit TraceMark(const obs::TraceSession* trace)
+      : recorded(trace != nullptr ? trace->events_recorded() : 0),
+        dropped(trace != nullptr ? trace->events_dropped() : 0),
+        faults(trace != nullptr ? trace->fault_count() : 0) {}
+  uint64_t recorded;
+  uint64_t dropped;
+  uint64_t faults;
+};
+
+// Report step: closes the call's "discover" span, dumps the flight
+// recorder when the run ended badly, and mirrors the call's trace event
+// counts into the registry.
+void ReportTrace(const TupeloOptions& options, const TraceMark& mark,
+                 const TupeloResult& result) {
+  obs::TraceSession* const trace = options.trace;
+  if (trace == nullptr) return;
+  trace->EmitEnd(obs::TraceCategory::kDriver, "discover", "found",
+                 result.found ? 1 : 0, "rungs_run",
+                 static_cast<int64_t>(result.rungs.size()));
+  // A bad end is a resource/cancel stop (including the checkpoint-kill
+  // seam), a mapping that failed verification, or a traced
+  // fault-injection fire; the retained last events show what the run was
+  // doing.
+  if (!options.flight_recorder_path.empty()) {
+    const bool bad_stop =
+        !result.found && result.stop_reason != StopReason::kExhausted;
+    const bool unverified = result.found && !result.verified;
+    const bool faulted = trace->fault_count() > mark.faults;
+    if (bad_stop || unverified || faulted) {
+      trace->DumpFlightRecord(options.flight_recorder_path);
+    }
+  }
+  if (options.metrics != nullptr) {
+    options.metrics->GetCounter("trace.events_recorded")
+        .Increment(trace->events_recorded() - mark.recorded);
+    options.metrics->GetCounter("trace.events_dropped")
+        .Increment(trace->events_dropped() - mark.dropped);
+  }
+}
+
+}  // namespace
+
+std::vector<DegradationRung> DefaultLadder() {
+  return {{SearchAlgorithm::kIda, 0.6}, {SearchAlgorithm::kBeam, 1.0}};
+}
+
+Result<TupeloResult> Tupelo::Discover(const TupeloOptions& options) const {
+  const TraceMark mark(options.trace);
+  TUPELO_ASSIGN_OR_RETURN(Plan plan, PlanDiscover(options, *this));
+  // The whole-run span is emitted manually (not RAII) so ReportTrace can
+  // close it before the flight-recorder dump.
+  if (options.trace != nullptr) {
+    options.trace->EmitBegin(obs::TraceCategory::kDriver, "discover", "rungs",
+                             static_cast<int64_t>(plan.ladder.size()));
+  }
+
+  TupeloResult result;
+  result.resumed = plan.resumed;
+  result.resume_rungs_skipped =
+      plan.resumed ? static_cast<int>(plan.first_rung) : 0;
+  LadderRun ladder(options, plan, *this, &result);
+  std::vector<Op> found_path = ladder.Run();
+  if (options.metrics != nullptr) {
+    options.metrics->GetCounter("phase.search.nanos")
+        .Increment(static_cast<uint64_t>(MillisSince(plan.start) * 1e6));
+  }
+
   if (result.found) {
     result.stop_reason = StopReason::kFound;
-    result.mapping = MappingExpression(std::move(found_outcome.path));
-    if (options.simplify) {
-      Clock::time_point simplify_start = Clock::now();
-      obs::TraceSpan simplify_span(trace, obs::TraceCategory::kDriver,
-                                   "simplify");
-      result.mapping = Simplify(result.mapping);
-      result.report.simplify_millis = MillisSince(simplify_start);
-    }
-    Clock::time_point verify_start = Clock::now();
-    obs::TraceSpan verify_span(trace, obs::TraceCategory::kVerify, "verify");
-    Result<Database> replay = SafeReplay(result.mapping, source_, registry_);
-    if (!replay.ok()) {
-      result.verified = false;
-      result.verify_status = replay.status();
-    } else if (!replay->Contains(target_)) {
-      result.verified = false;
-      result.verify_status = Status::Internal(
-          "replayed mapping does not contain the target instance");
-    } else {
-      result.verified = true;
-    }
-    verify_span.SetEndArg("ok", result.verified ? 1 : 0);
-    result.report.verify_millis = MillisSince(verify_start);
+    Verify(options, *this, std::move(found_path), &result);
   }
-
-  if (options.metrics != nullptr) {
-    // Successor time accumulated in phase.successors.nanos during search.
-    result.report.successor_millis =
-        static_cast<double>(
-            options.metrics->CounterValue("phase.successors.nanos")) /
-        1e6;
-    // Mirror the driver-level phase timers into the registry so exported
-    // reports carry the full breakdown.
-    options.metrics->GetCounter("phase.search.nanos")
-        .Increment(static_cast<uint64_t>(result.report.search_millis * 1e6));
-    options.metrics->GetCounter("phase.verify.nanos")
-        .Increment(static_cast<uint64_t>(result.report.verify_millis * 1e6));
-    options.metrics->GetCounter("phase.simplify.nanos")
-        .Increment(
-            static_cast<uint64_t>(result.report.simplify_millis * 1e6));
-  }
-
-  if (trace != nullptr) {
-    trace->EmitEnd(obs::TraceCategory::kDriver, "discover", "found",
-                   result.found ? 1 : 0, "rungs_run",
-                   static_cast<int64_t>(result.rungs.size()));
-    // Flight recorder: when the run ended badly — a resource/cancel stop
-    // (including the checkpoint-kill seam), a mapping that failed
-    // verification, or a traced fault-injection fire — dump the retained
-    // last events so a post-mortem can see what the run was doing.
-    if (!options.flight_recorder_path.empty()) {
-      const bool bad_stop =
-          !result.found && result.stop_reason != StopReason::kExhausted;
-      const bool unverified = result.found && !result.verified;
-      const bool faulted = trace->fault_count() > trace_faults_before;
-      if (bad_stop || unverified || faulted) {
-        trace->DumpFlightRecord(options.flight_recorder_path);
-      }
-    }
-    if (metrics != nullptr) {
-      metrics->GetCounter("trace.events_recorded")
-          .Increment(trace->events_recorded() - trace_recorded_before);
-      metrics->GetCounter("trace.events_dropped")
-          .Increment(trace->events_dropped() - trace_dropped_before);
-    }
-  }
+  ReportTrace(options, mark, result);
   return result;
 }
 

@@ -67,9 +67,9 @@ struct TupeloOptions {
   // governor.* metrics.
   std::vector<DegradationRung> ladder;
   // Worker threads for the parallel search runtime. With threads > 1,
-  // Discover owns a ThreadPool for the call and beam rungs fan each
-  // level's Phase A out over it (same outcome as threads == 1; see
-  // search/beam.h). 0 is treated as 1.
+  // Discover creates a ThreadPool when its first beam rung starts and
+  // beam rungs fan each level's Phase A out over it (same outcome as
+  // threads == 1; see search/beam.h). 0 is treated as 1.
   size_t threads = 1;
   // Externally owned ThreadPool shared across Discover calls (nullable;
   // must outlive the call). When set it overrides `threads`: beam rungs
@@ -80,24 +80,16 @@ struct TupeloOptions {
   // owner, and supervised stall detection falls back to the search
   // thread's own heartbeats.
   ThreadPool* pool = nullptr;
-  // Run the ladder as a concurrent portfolio instead of a fallback
-  // sequence: every rung starts at once on its own thread with the full
-  // budget, the first rung whose mapping verifies wins, and the rest are
-  // cancelled through per-rung tokens parented on limits.cancel. Per-rung
-  // budget_share is ignored (there is no fallback order to ration).
-  // Requires a ladder with at least two rungs to change anything.
-  bool portfolio = false;
   // Run the peephole optimizer (fira/optimizer.h) on the discovered
   // expression; the raw search path is replaced by the simplified,
   // re-verified equivalent.
   bool simplify = false;
   // Durable checkpoint/resume (see docs/ROBUSTNESS.md, "Checkpoint &
-  // resume contract"). With a non-empty checkpoint_path, sequential runs
-  // write an atomic, checksummed snapshot of the ladder position, the
-  // remaining budget, the best partial mapping, and the active rung's
-  // resumable search core (core/checkpoint.h) roughly every
-  // checkpoint_interval_states examined states. Not supported together
-  // with the concurrent portfolio (FailedPrecondition).
+  // resume contract"). With a non-empty checkpoint_path, the run writes
+  // an atomic, checksummed snapshot of the ladder position, the remaining
+  // budget, the best partial mapping, and the active rung's resumable
+  // search core (core/checkpoint.h) roughly every
+  // checkpoint_interval_states examined states.
   std::string checkpoint_path;
   uint64_t checkpoint_interval_states = 1024;
   // Load checkpoint_path before searching and restart at its rung +
@@ -117,17 +109,17 @@ struct TupeloOptions {
   // write — a deterministic process death at a checkpoint boundary.
   uint64_t checkpoint_kill_after = 0;
   // Self-healing supervision (runtime/supervisor.h). With
-  // supervisor.enabled, sequential-ladder runs start a watchdog thread:
-  // each rung heartbeats into it, a hung rung is preempted within
+  // supervisor.enabled, the run starts a watchdog thread: each rung
+  // heartbeats into it, a hung rung is preempted within
   // supervisor.stall_window_millis (StopReason::kStalled) and retried
   // with exponential backoff up to supervisor.max_rung_retries times
-  // before the ladder advances; memory pressure against
+  // before the ladder advances, each retry limited to what is left of the
+  // call's budget when it starts; memory pressure against
   // limits.max_memory_nodes degrades in stages (trim the problem's
   // caches, then halve the beam width, then preempt to the next rung)
   // instead of tripping a hard kMemory; and every rung runs with a
   // poison-state quarantine, so an exception escaping Expand/ApplyOp
-  // quarantines the offending state instead of aborting the run. Ignored
-  // by the concurrent portfolio.
+  // quarantines the offending state instead of aborting the run.
   runtime::SupervisorConfig supervisor;
   // Optional metric registry (nullable; default off). When set, the run
   // populates search.*, heuristic.*, executor.*, phase.* and governor.*
@@ -150,20 +142,6 @@ struct TupeloOptions {
   // flight-record format (obs/trace.h), capturing what the run was doing
   // when it died. tools/trace_report reads the dump.
   std::string flight_recorder_path;
-};
-
-// Wall-clock breakdown of one Discover call, always populated (phase
-// timing does not require a metric registry). Phases overlap: successor
-// generation and heuristic evaluation happen inside the search phase.
-struct RunReport {
-  double search_millis = 0.0;     // the search-algorithm call itself
-  double successor_millis = 0.0;  // Expand time inside search (needs
-                                  // options.metrics; 0 otherwise)
-  double verify_millis = 0.0;     // replaying the mapping on the source
-  double simplify_millis = 0.0;   // peephole optimizer (0 unless enabled)
-
-  // One-line human-readable summary.
-  std::string ToString() const;
 };
 
 // One attempted rung of a Discover call (a single rung for plain runs,
@@ -203,8 +181,6 @@ struct TupeloResult {
   SearchStats stats;
   // Per-rung attempts, in execution order.
   std::vector<RungAttempt> rungs;
-  // Phase timing for this run (see RunReport).
-  RunReport report;
   // Checkpoint/resume bookkeeping: whether this run restarted from a
   // checkpoint, how many ladder rungs the resume skipped, and how many
   // checkpoint files the run wrote.
@@ -240,6 +216,7 @@ class Tupelo {
   // `registry` must outlive the Tupelo object; required iff
   // correspondences are supplied.
   void set_registry(const FunctionRegistry* registry) { registry_ = registry; }
+  const FunctionRegistry* registry() const { return registry_; }
 
   void AddCorrespondence(SemanticCorrespondence c) {
     correspondences_.push_back(std::move(c));

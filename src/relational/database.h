@@ -34,7 +34,7 @@ class Database {
   // performed by the calling thread. Per-search attribution must diff
   // ThreadCowStats: all COW work happens synchronously on the thread
   // applying the operator, so thread-local deltas stay correct when
-  // several searches (portfolio rungs, pool workers) run concurrently,
+  // several searches (pool workers, serve jobs) run concurrently,
   // where global deltas would interleave.
   struct CowStats {
     uint64_t cow_copies = 0;        // relations cloned by mutable access

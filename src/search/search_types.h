@@ -179,10 +179,9 @@ inline bool IsResourceStop(StopReason reason) {
 // searches via Reset().
 //
 // Tokens chain: a token with a parent reports cancelled when either it
-// or the parent has fired. The concurrent portfolio runner hands each
-// rung a private token parented on the caller's, so the winner can
-// cancel the losers without consuming the caller's token, while a
-// caller-side Cancel still stops every rung.
+// or the parent has fired. The supervisor preempts a rung through a
+// private token parented on the caller's, so a preemption never consumes
+// the caller's token, while a caller-side Cancel still stops the rung.
 //
 // The chain is held through shared, heap-allocated flag nodes: a child
 // keeps its parent's node alive, so cancelled() stays safe (and keeps

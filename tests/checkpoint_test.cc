@@ -222,18 +222,6 @@ TEST(CheckpointResumeTest, ResumeWithoutPathIsInvalidArgument) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CheckpointResumeTest, PortfolioWithCheckpointIsFailedPrecondition) {
-  SyntheticMatchingPair pair = MakeSyntheticMatchingPair(2);
-  Tupelo system(pair.source, pair.target);
-  TupeloOptions options;
-  options.portfolio = true;
-  options.ladder = DefaultLadder();
-  options.checkpoint_path = TempPath("portfolio.tck");
-  Result<TupeloResult> r = system.Discover(options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-}
-
 TEST(CheckpointResumeTest, ResumeFromMissingFileIsFreshStart) {
   SyntheticMatchingPair pair = MakeSyntheticMatchingPair(2);
   Tupelo system(pair.source, pair.target);

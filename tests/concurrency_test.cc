@@ -2,7 +2,7 @@
 // MappingProblem caches (estimate shards, expand LRU under concurrent
 // expansion), per-thread COW attribution, CancelToken parenting, the
 // beam's same-outcome contract with and without a pool (workers reading
-// the dedup set concurrently), and the concurrent portfolio ladder. Under
+// the dedup set concurrently), and threaded beam discovery. Under
 // CMAKE_BUILD_TYPE=Tsan this suite doubles as the tsan_smoke race
 // detector target.
 
@@ -439,7 +439,7 @@ TEST(ParallelBeamTest, EstimatesOnlySuccessorsNewToTheDedupSet) {
 }
 
 // ---------------------------------------------------------------------------
-// Discover: threaded beam and the concurrent portfolio
+// Discover: threaded beam
 // ---------------------------------------------------------------------------
 
 TEST(DiscoverThreadsTest, ThreadedBeamDiscoveryMatchesSingleThreaded) {
@@ -473,53 +473,6 @@ TEST(DiscoverThreadsTest, ThreadedBeamDiscoveryMatchesSingleThreaded) {
   ASSERT_NE(threads, nullptr);
   EXPECT_EQ(static_cast<uint64_t>(threads->value()), 4u);
   EXPECT_GE(metrics.GetCounter("beam.parallel.levels").value(), 1u);
-}
-
-TEST(PortfolioTest, ConcurrentLadderFindsVerifiedMapping) {
-  SyntheticMatchingPair pair = MakeSyntheticMatchingPair(3);
-  Tupelo system(pair.source, pair.target);
-
-  TupeloOptions options;
-  options.ladder = DefaultLadder();
-  ASSERT_GE(options.ladder.size(), 2u);
-  options.portfolio = true;
-  options.limits.max_depth = 12;
-  obs::MetricRegistry metrics;
-  options.metrics = &metrics;
-
-  Result<TupeloResult> result = system.Discover(options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_TRUE(result->found);
-  EXPECT_TRUE(result->verified);
-  EXPECT_EQ(result->stop_reason, StopReason::kFound);
-  // Every rung launched; they are reported in ladder order.
-  EXPECT_EQ(result->rungs.size(), options.ladder.size());
-  for (size_t i = 0; i < result->rungs.size(); ++i) {
-    EXPECT_EQ(result->rungs[i].algorithm, options.ladder[i].algorithm) << i;
-  }
-  EXPECT_EQ(metrics.GetCounter("runtime.portfolio.rungs").value(),
-            options.ladder.size());
-  // A winner emerged, so the other rungs were told to stop.
-  EXPECT_EQ(metrics.GetCounter("runtime.portfolio.losers_cancelled").value(),
-            options.ladder.size() - 1);
-}
-
-TEST(PortfolioTest, ParentCancelStopsThePortfolio) {
-  SyntheticMatchingPair pair = MakeSyntheticMatchingPair(3);
-  Tupelo system(pair.source, pair.target);
-
-  CancelToken token;
-  token.Cancel();  // cancelled before the rungs even start
-  TupeloOptions options;
-  options.ladder = DefaultLadder();
-  options.portfolio = true;
-  options.limits.cancel = &token;
-  options.limits.max_depth = 12;
-
-  Result<TupeloResult> result = system.Discover(options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_FALSE(result->found);
-  EXPECT_EQ(result->stop_reason, StopReason::kCancelled);
 }
 
 }  // namespace

@@ -337,6 +337,42 @@ TEST(SupervisorTest, ExhaustedRetriesSurfaceStalledStop) {
   EXPECT_GE(r->partial_h, 0);  // anytime contract survives preemption
 }
 
+// A stall retry draws from what is left of the call's budget, not from a
+// fresh copy of it. No operator produces the target's constant column,
+// so every attempt runs until its state budget trips, and the counts are
+// deterministic whenever the one injected delay wedges the first attempt.
+TEST(SupervisorTest, StallRetryStaysInsideTheCallBudget) {
+  Database source = Tdb(
+      "relation R (A0, A1, A2, A3, A4, A5) { (a, b, c, d, e, f) }");
+  Database target = Tdb(
+      "relation R (B0, B1, B2, B3, B4, B5, Z) { (a, b, c, d, e, f, zz) }");
+  Tupelo system(source, target);
+
+  FaultInjector injector;
+  ScopedInjector scoped(&injector);
+  injector.ArmEveryNth("*", Status::Internal("wedged"), 3000);
+  injector.SetKind(FaultInjector::Kind::kDelay, 300);
+  injector.SetMaxFires(1);
+
+  TupeloOptions options;
+  options.algorithm = SearchAlgorithm::kIda;
+  options.supervisor.enabled = true;
+  options.supervisor.tick_millis = 5;
+  options.supervisor.stall_window_millis = 40;
+  options.supervisor.max_rung_retries = 1;
+  options.supervisor.retry_backoff_millis = 5;
+  options.limits.max_states = 20000;
+
+  Result<TupeloResult> r = system.Discover(options);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_FALSE(r->found);
+  ASSERT_EQ(r->rungs.size(), 2u);
+  EXPECT_EQ(r->rungs[0].stop, StopReason::kStalled);
+  EXPECT_LE(r->stats.states_examined, options.limits.max_states);
+  EXPECT_LE(r->rungs[1].states_examined,
+            options.limits.max_states - r->rungs[0].states_examined);
+}
+
 // Poison states end-to-end: throwing operator faults under supervision
 // must quarantine and finish cleanly, never crash.
 TEST(SupervisorTest, ThrowingFaultsAreQuarantinedEndToEnd) {
