@@ -69,8 +69,9 @@ struct BenchArgs {
   // --trace-buffer-kb=N: per-thread trace ring size (obs/trace.h).
   uint64_t trace_buffer_kb = 256;
   // --flight-recorder: also arm TupeloOptions::flight_recorder_path at
-  // "<trace_path>.flight" so runs that end badly dump their last events.
-  // Requires --trace=.
+  // "<trace_path>.flight" so runs that end badly dump their last events
+  // there, as Chrome JSON like the --trace= export (each dump replaces the
+  // previous one). Requires --trace=.
   bool flight_recorder = false;
 };
 // `default_budget` applies when no --budget flag is given; figure

@@ -100,7 +100,9 @@ int Usage() {
          "  [--trace-buffer-kb=N]     per-thread trace ring size "
          "(default 256)\n"
          "  [--flight-recorder]       with --trace: dump the last events "
-         "to file.json.flight on a bad stop\n"
+         "to file.json.flight\n"
+         "                            (Chrome JSON, like --trace) on a bad "
+         "stop\n"
          "  [--checkpoint=file.tck]   periodically snapshot discovery "
          "progress (atomic, checksummed)\n"
          "  [--resume]                with --checkpoint: restart from the "

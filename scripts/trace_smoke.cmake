@@ -1,8 +1,10 @@
 # Smoke test for the structured tracing pipeline: run one figure harness
-# with --quick --trace= (plus --json= so the report carries the schema-6
-# trace fields), then validate the trace export against the trace-event
-# checker, the report against the bench schema checker, and finally feed
-# the trace through trace_report.
+# with --quick --trace= --flight-recorder (plus --json= so the report
+# carries the schema-6 trace fields), then validate the trace export and
+# the flight dump against the trace-event checker, the report against the
+# bench schema checker, and finally feed the trace and the dump through
+# trace_report. At --budget=20000 the fig5 cutoff cells are bad stops, so
+# the run always leaves a dump at <OUT_TRACE>.flight.
 #
 # Expected -D variables:
 #   HARNESS         - path to the fig5_synthetic_ida binary
@@ -20,9 +22,12 @@ foreach(var HARNESS REPORT_TOOL TRACE_VALIDATOR BENCH_VALIDATOR PYTHON
   endif()
 endforeach()
 
+set(OUT_FLIGHT "${OUT_TRACE}.flight")
+file(REMOVE "${OUT_FLIGHT}")
+
 execute_process(
   COMMAND "${HARNESS}" --quick --budget=20000
-          "--trace=${OUT_TRACE}" "--json=${OUT_JSON}"
+          "--trace=${OUT_TRACE}" --flight-recorder "--json=${OUT_JSON}"
   RESULT_VARIABLE harness_rc
   OUTPUT_VARIABLE harness_out
   ERROR_VARIABLE harness_err
@@ -32,14 +37,14 @@ if(NOT harness_rc EQUAL 0)
           "trace_smoke: harness failed (${harness_rc}):\n${harness_err}")
 endif()
 
-foreach(out OUT_TRACE OUT_JSON)
+foreach(out OUT_TRACE OUT_FLIGHT OUT_JSON)
   if(NOT EXISTS "${${out}}")
     message(FATAL_ERROR "trace_smoke: harness did not write ${${out}}")
   endif()
 endforeach()
 
 execute_process(
-  COMMAND "${PYTHON}" "${TRACE_VALIDATOR}" "${OUT_TRACE}"
+  COMMAND "${PYTHON}" "${TRACE_VALIDATOR}" "${OUT_TRACE}" "${OUT_FLIGHT}"
   RESULT_VARIABLE trace_rc
   OUTPUT_VARIABLE trace_out
   ERROR_VARIABLE trace_err
@@ -62,15 +67,17 @@ if(NOT bench_rc EQUAL 0)
 endif()
 message(STATUS "trace_smoke: ${bench_out}")
 
-execute_process(
-  COMMAND "${REPORT_TOOL}" "${OUT_TRACE}"
-  RESULT_VARIABLE report_rc
-  OUTPUT_VARIABLE report_out
-  ERROR_VARIABLE report_err
-)
-if(NOT report_rc EQUAL 0)
-  message(FATAL_ERROR
-          "trace_smoke: trace_report failed (${report_rc}):\n${report_err}")
-endif()
-string(REGEX MATCH "^[^\n]*" report_first_line "${report_out}")
-message(STATUS "trace_smoke: ${report_first_line}")
+foreach(trace OUT_TRACE OUT_FLIGHT)
+  execute_process(
+    COMMAND "${REPORT_TOOL}" "${${trace}}"
+    RESULT_VARIABLE report_rc
+    OUTPUT_VARIABLE report_out
+    ERROR_VARIABLE report_err
+  )
+  if(NOT report_rc EQUAL 0)
+    message(FATAL_ERROR "trace_smoke: trace_report failed on ${${trace}} "
+                        "(${report_rc}):\n${report_err}")
+  endif()
+  string(REGEX MATCH "^[^\n]*" report_first_line "${report_out}")
+  message(STATUS "trace_smoke: ${report_first_line}")
+endforeach()

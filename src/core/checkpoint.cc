@@ -130,6 +130,7 @@ Result<std::vector<Op>> ParsePathScript(std::string_view script) {
 }  // namespace
 
 std::string WriteCheckpoint(const DiscoveryCheckpoint& checkpoint) {
+  const SearchSeed<Database, Op>& seed = checkpoint.seed;
   std::string out;
   out += std::string(kCheckpointMagic) + " " +
          std::to_string(kCheckpointFormatVersion) + "\n";
@@ -141,25 +142,23 @@ std::string WriteCheckpoint(const DiscoveryCheckpoint& checkpoint) {
   out += "states_left " + std::to_string(checkpoint.states_left) + "\n";
   out += "deadline_left_millis " +
          std::to_string(checkpoint.deadline_left_millis) + "\n";
-  out += "states_examined " + std::to_string(checkpoint.states_examined) +
-         "\n";
-  out += "best_h " + std::to_string(checkpoint.best_h) + "\n";
-  out += "ida_bound " + std::to_string(checkpoint.ida_bound) + "\n";
-  out += "beam_depth " + std::to_string(checkpoint.beam_depth) + "\n";
-  out += "next_seq " + std::to_string(checkpoint.next_seq) + "\n";
-  AppendSection(out, "best_path",
-                MappingExpression(checkpoint.best_path).ToScript());
-  for (const CheckpointFrontierEntry& entry : checkpoint.frontier) {
-    out += "frontier_h " + std::to_string(entry.h) + "\n";
-    AppendSection(out, "fpath", MappingExpression(entry.path).ToScript());
-    AppendSection(out, "fstate", WriteTdb(entry.state));
+  out += "states_examined " + std::to_string(seed.states_examined) + "\n";
+  out += "best_h " + std::to_string(seed.best_h) + "\n";
+  out += "ida_bound " + std::to_string(seed.ida_bound) + "\n";
+  out += "beam_depth " + std::to_string(seed.beam_depth) + "\n";
+  out += "next_seq " + std::to_string(seed.next_seq) + "\n";
+  AppendSection(out, "best_path", MappingExpression(seed.best_path).ToScript());
+  for (const auto& node : seed.frontier) {
+    out += "frontier_h " + std::to_string(node.h) + "\n";
+    AppendSection(out, "fpath", MappingExpression(node.path).ToScript());
+    AppendSection(out, "fstate", WriteTdb(node.state));
   }
-  for (const CheckpointOpenEntry& entry : checkpoint.open) {
-    out += "open_entry " + std::to_string(entry.key) + " " +
-           std::to_string(entry.seq) + "\n";
-    AppendSection(out, "opath", MappingExpression(entry.path).ToScript());
+  for (const auto& node : seed.open) {
+    out += "open_entry " + std::to_string(node.key) + " " +
+           std::to_string(node.seq) + "\n";
+    AppendSection(out, "opath", MappingExpression(node.path).ToScript());
   }
-  for (const auto& [fp, g] : checkpoint.closed) {
+  for (const auto& [fp, g] : seed.closed) {
     out += "closed " + FpText(fp) + " " + std::to_string(g) + "\n";
   }
   out += "checksum " + HexLane(Fnv1aSeeded(out, kFpSeedLo)) + ":" +
@@ -209,6 +208,7 @@ Result<DiscoveryCheckpoint> ParseCheckpoint(std::string_view text) {
   }
 
   DiscoveryCheckpoint cp;
+  SearchSeed<Database, Op>& seed = cp.seed;
   auto expect_kv = [&reader](const std::string& keyword,
                              std::string* value) -> Status {
     if (reader.done()) return Malformed("missing '" + keyword + "' line");
@@ -250,55 +250,55 @@ Result<DiscoveryCheckpoint> ParseCheckpoint(std::string_view text) {
     return Malformed("bad deadline_left_millis");
   }
   TUPELO_RETURN_IF_ERROR(expect_kv("states_examined", &value));
-  if (!ParseU64(value, &cp.states_examined)) {
+  if (!ParseU64(value, &seed.states_examined)) {
     return Malformed("bad states_examined");
   }
   TUPELO_RETURN_IF_ERROR(expect_kv("best_h", &value));
   {
     int64_t best_h = 0;
     if (!ParseI64(value, &best_h)) return Malformed("bad best_h");
-    cp.best_h = static_cast<int>(best_h);
+    seed.best_h = static_cast<int>(best_h);
   }
   TUPELO_RETURN_IF_ERROR(expect_kv("ida_bound", &value));
-  if (!ParseI64(value, &cp.ida_bound)) return Malformed("bad ida_bound");
+  if (!ParseI64(value, &seed.ida_bound)) return Malformed("bad ida_bound");
   TUPELO_RETURN_IF_ERROR(expect_kv("beam_depth", &value));
   {
     int64_t depth = 0;
     if (!ParseI64(value, &depth) || depth < 0) {
       return Malformed("bad beam_depth");
     }
-    cp.beam_depth = static_cast<int>(depth);
+    seed.beam_depth = static_cast<int>(depth);
   }
   TUPELO_RETURN_IF_ERROR(expect_kv("next_seq", &value));
-  if (!ParseU64(value, &cp.next_seq)) return Malformed("bad next_seq");
+  if (!ParseU64(value, &seed.next_seq)) return Malformed("bad next_seq");
 
   TUPELO_ASSIGN_OR_RETURN(std::string best_script,
                           reader.Section("best_path"));
-  TUPELO_ASSIGN_OR_RETURN(cp.best_path, ParsePathScript(best_script));
+  TUPELO_ASSIGN_OR_RETURN(seed.best_path, ParsePathScript(best_script));
 
   while (!reader.done()) {
     std::vector<std::string> parts = Split(reader.Next(), ' ');
     if (parts.empty()) return Malformed("blank line in entry list");
     if (parts[0] == "frontier_h") {
-      CheckpointFrontierEntry entry;
-      if (parts.size() != 2 || !ParseI64(parts[1], &entry.h)) {
+      SearchSeed<Database, Op>::FrontierNode node;
+      if (parts.size() != 2 || !ParseI64(parts[1], &node.h)) {
         return Malformed("bad frontier_h line");
       }
       TUPELO_ASSIGN_OR_RETURN(std::string script, reader.Section("fpath"));
-      TUPELO_ASSIGN_OR_RETURN(entry.path, ParsePathScript(script));
+      TUPELO_ASSIGN_OR_RETURN(node.path, ParsePathScript(script));
       TUPELO_ASSIGN_OR_RETURN(std::string tdb, reader.Section("fstate"));
-      TUPELO_ASSIGN_OR_RETURN(entry.state, ParseTdb(tdb));
-      TUPELO_RETURN_IF_ERROR(entry.state.Validate());
-      cp.frontier.push_back(std::move(entry));
+      TUPELO_ASSIGN_OR_RETURN(node.state, ParseTdb(tdb));
+      TUPELO_RETURN_IF_ERROR(node.state.Validate());
+      seed.frontier.push_back(std::move(node));
     } else if (parts[0] == "open_entry") {
-      CheckpointOpenEntry entry;
-      if (parts.size() != 3 || !ParseI64(parts[1], &entry.key) ||
-          !ParseU64(parts[2], &entry.seq)) {
+      SearchSeed<Database, Op>::OpenNode node;
+      if (parts.size() != 3 || !ParseI64(parts[1], &node.key) ||
+          !ParseU64(parts[2], &node.seq)) {
         return Malformed("bad open_entry line");
       }
       TUPELO_ASSIGN_OR_RETURN(std::string script, reader.Section("opath"));
-      TUPELO_ASSIGN_OR_RETURN(entry.path, ParsePathScript(script));
-      cp.open.push_back(std::move(entry));
+      TUPELO_ASSIGN_OR_RETURN(node.path, ParsePathScript(script));
+      seed.open.push_back(std::move(node));
     } else if (parts[0] == "closed") {
       Fp128 fp;
       int64_t g = 0;
@@ -306,7 +306,7 @@ Result<DiscoveryCheckpoint> ParseCheckpoint(std::string_view text) {
           !ParseI64(parts[2], &g)) {
         return Malformed("bad closed line");
       }
-      cp.closed.emplace_back(fp, g);
+      seed.closed.emplace_back(fp, g);
     } else {
       return Malformed("unknown entry '" + parts[0] + "'");
     }

@@ -4,14 +4,13 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "common/hash.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "fira/operators.h"
 #include "relational/database.h"
+#include "search/search_types.h"
 
 namespace tupelo {
 
@@ -44,23 +43,6 @@ namespace tupelo {
 inline constexpr int kCheckpointFormatVersion = 1;
 inline constexpr char kCheckpointMagic[] = "tupelo-checkpoint";
 
-// One beam/parallel-beam frontier node.
-struct CheckpointFrontierEntry {
-  Database state;
-  std::vector<Op> path;
-  int64_t h = 0;
-};
-
-// One A*/greedy open-list node. The state is not stored: it is replayed
-// from `path` on resume (operators are deterministic). `key` is g for A*
-// and h for greedy — informational, recomputed on resume; `seq` is the
-// FIFO tiebreak and must survive verbatim for pop-order equivalence.
-struct CheckpointOpenEntry {
-  std::vector<Op> path;
-  int64_t key = 0;
-  uint64_t seq = 0;
-};
-
 struct DiscoveryCheckpoint {
   // Workload identity: fingerprints of the source and target instances.
   // Resume refuses a checkpoint whose fingerprints do not match.
@@ -74,18 +56,12 @@ struct DiscoveryCheckpoint {
   int64_t states_left = 0;
   int64_t deadline_left_millis = 0;
 
-  // Progress and anytime result.
-  uint64_t states_examined = 0;
-  std::vector<Op> best_path;
-  int best_h = -1;
-
-  // Per-algorithm resumable core; unused fields stay at their defaults.
-  int64_t ida_bound = -1;
-  int beam_depth = 0;
-  std::vector<CheckpointFrontierEntry> frontier;
-  std::vector<CheckpointOpenEntry> open;
-  uint64_t next_seq = 0;
-  std::vector<std::pair<Fp128, int64_t>> closed;
+  // The search's snapshot: progress, the anytime result and the active
+  // algorithm's resumable core (unused fields stay at their defaults).
+  // Open-list states are not stored: ParseCheckpoint leaves each
+  // `seed.open[i].state` empty, and resume replays it from its path
+  // (operators are deterministic).
+  SearchSeed<Database, Op> seed;
 };
 
 // Serializes to the on-disk text format, checksum line included.

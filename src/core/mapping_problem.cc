@@ -284,22 +284,15 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
 
       // →: dereference when this column's values name attributes of the
       // relation; the fresh column must be a missing target attribute.
-      if (config_.enable_dereference) {
-        bool pointer_ok =
-            !prune || AnyColumnValue(rel, i, [&](const std::string& v) {
-              return rel.HasAttribute(v);
-            });
-        if (pointer_ok) {
-          for (const std::string& out : ts.atts) {
-            if (rel.HasAttribute(out)) continue;
-            if (prune && state_symbols.atts.contains(out)) {
-              // Some relation already carries this target attribute;
-              // dereferencing it into this one is still allowed only when
-              // this relation is the one being shaped — keep it simple and
-              // allow it; the executor/dup-filter discards no-ops.
-            }
-            ops.push_back(DereferenceOp{rname, attr, out});
-          }
+      bool pointer_ok =
+          !prune || AnyColumnValue(rel, i, [&](const std::string& v) {
+            return rel.HasAttribute(v);
+          });
+      if (pointer_ok) {
+        for (const std::string& out : ts.atts) {
+          if (rel.HasAttribute(out)) continue;
+          // Kept when another relation has `out`: dup-filter drops no-ops.
+          ops.push_back(DereferenceOp{rname, attr, out});
         }
       }
     }
@@ -307,7 +300,7 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
 
   // ×: Cartesian product of two distinct relations. Pruned: only when some
   // target relation needs attributes from both sides.
-  if (config_.enable_product && state.relation_count() >= 2) {
+  if (state.relation_count() >= 2) {
     const auto& rels = state.relations();
     for (auto li = rels.begin(); li != rels.end(); ++li) {
       for (auto ri = std::next(li); ri != rels.end(); ++ri) {

@@ -47,10 +47,6 @@ struct SemanticCorrespondence {
 // baseline).
 struct SuccessorConfig {
   bool prune = true;
-  // The two structurally explosive operators can be disabled entirely for
-  // workloads known not to need them.
-  bool enable_dereference = true;
-  bool enable_product = true;
   // Capacity (in states, LRU-evicted) of the transposition cache that
   // memoizes Expand results. IDA* re-visits every shallow state once per
   // iteration and RBFS re-descends abandoned branches, so the same states

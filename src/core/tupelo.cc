@@ -58,17 +58,14 @@ uint64_t RungSlice(uint64_t remaining, double share, bool last) {
 }
 
 // Dispatches one rung's algorithm. Beam rungs fan their levels out over
-// `pool` when it has more than one worker. `seed` (nullable) resumes the
-// algorithm from a checkpointed core. Each rung shows up on the trace as
-// a "rung.<algo>" driver span (literal names: the session records only
+// `pool` when it has more than one worker. Each rung shows up on the trace
+// as a "rung.<algo>" driver span (literal names: the session records only
 // the name pointer).
 SearchOutcome<Op> RunRung(SearchAlgorithm algorithm,
                           const MappingProblem& problem, size_t beam_width,
                           ThreadPool* pool, const SearchLimits& limits,
-                          obs::MetricRegistry* metrics,
-                          const SearchSeed<Database, Op>* seed = nullptr,
-                          obs::TraceSession* trace = nullptr) {
-  const SearchContext<Database, Op> ctx{metrics, trace, seed};
+                          const SearchContext<Database, Op>& ctx) {
+  obs::TraceSession* const trace = ctx.trace;
   switch (algorithm) {
     case SearchAlgorithm::kIda: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.ida");
@@ -141,10 +138,7 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
     algorithm_ = std::string(SearchAlgorithmName(algorithm));
     states_budget_left_ = states_budget_left;
     next_due_ = interval_;
-    if (write_entry) {
-      SearchSeed<Database, Op> empty;
-      WriteSnapshot(empty);
-    }
+    if (write_entry) WriteSnapshot({});
   }
 
   bool WantSnapshot(uint64_t states_examined) override {
@@ -152,14 +146,14 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
   }
 
   void OnSnapshot(SearchSeed<Database, Op> seed) override {
-    WriteSnapshot(seed);
     next_due_ = seed.states_examined + interval_;
+    WriteSnapshot(std::move(seed));
   }
 
   uint64_t writes() const { return writes_; }
 
  private:
-  void WriteSnapshot(const SearchSeed<Database, Op>& seed) {
+  void WriteSnapshot(SearchSeed<Database, Op> seed) {
     obs::MetricRegistry* const metrics = options_.metrics;
     obs::TraceSession* const trace = options_.trace;
     obs::TraceSpan span(trace, obs::TraceCategory::kCheckpoint,
@@ -180,21 +174,7 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
                      static_cast<int64_t>(MillisSince(plan_.start));
       cp.deadline_left_millis = left > 0 ? left : 0;
     }
-    cp.states_examined = seed.states_examined;
-    cp.best_path = seed.best_path;
-    cp.best_h = seed.best_h;
-    cp.ida_bound = seed.ida_bound;
-    cp.beam_depth = seed.beam_depth;
-    cp.frontier.reserve(seed.frontier.size());
-    for (const auto& node : seed.frontier) {
-      cp.frontier.push_back({node.state, node.path, node.h});
-    }
-    cp.open.reserve(seed.open.size());
-    for (const auto& node : seed.open) {
-      cp.open.push_back({node.path, node.key, node.seq});
-    }
-    cp.next_seq = seed.next_seq;
-    cp.closed = seed.closed;
+    cp.seed = std::move(seed);
 
     std::string text = WriteCheckpoint(cp);
     // A failed write is deliberately non-fatal: checkpointing must never
@@ -218,9 +198,9 @@ class FileCheckpointSink : public CheckpointSink<Database, Op> {
       if (options_.on_progress) {
         DiscoverProgress progress;
         progress.rung_index = rung_index_;
-        progress.states_examined = seed.states_examined;
-        progress.best_path = &seed.best_path;
-        progress.best_h = seed.best_h;
+        progress.states_examined = cp.seed.states_examined;
+        progress.best_path = &cp.seed.best_path;
+        progress.best_h = cp.seed.best_h;
         options_.on_progress(progress);
       }
       if (options_.checkpoint_kill_after > 0 &&
@@ -316,7 +296,7 @@ Result<Plan> PlanDiscover(const TupeloOptions& options, const Tupelo& tupelo) {
     return plan;  // killed before the first write: a fresh start
   }
   if (!loaded.ok()) return loaded.status();
-  const DiscoveryCheckpoint& cp = *loaded;
+  DiscoveryCheckpoint& cp = *loaded;
   if (!(cp.source_fp == source.Fingerprint128()) ||
       !(cp.target_fp == target.Fingerprint128())) {
     return Status::FailedPrecondition(
@@ -333,26 +313,13 @@ Result<Plan> PlanDiscover(const TupeloOptions& options, const Tupelo& tupelo) {
   plan.states_left =
       cp.states_left > 0 ? static_cast<uint64_t>(cp.states_left) : 0;
   if (plan.deadline_millis > 0) plan.deadline_millis = cp.deadline_left_millis;
-  SearchSeed<Database, Op>& seed = plan.resume_seed;
-  seed.states_examined = cp.states_examined;
-  seed.best_path = cp.best_path;
-  seed.best_h = cp.best_h;
-  seed.ida_bound = cp.ida_bound;
-  seed.beam_depth = cp.beam_depth;
-  seed.frontier.reserve(cp.frontier.size());
-  for (const CheckpointFrontierEntry& e : cp.frontier) {
-    seed.frontier.push_back({e.state, e.path, e.h});
-  }
-  seed.open.reserve(cp.open.size());
-  for (const CheckpointOpenEntry& e : cp.open) {
+  plan.resume_seed = std::move(cp.seed);
+  for (auto& node : plan.resume_seed.open) {
     // Open-list states are not stored; replay them from their action
     // paths (operators are deterministic).
-    TUPELO_ASSIGN_OR_RETURN(Database state,
-                            MappingExpression(e.path).Apply(source, registry));
-    seed.open.push_back({std::move(state), e.path, e.key, e.seq});
+    TUPELO_ASSIGN_OR_RETURN(
+        node.state, MappingExpression(node.path).Apply(source, registry));
   }
-  seed.next_seq = cp.next_seq;
-  seed.closed = cp.closed;
   plan.resumed = true;
   if (options.metrics != nullptr && plan.first_rung > 0) {
     options.metrics->GetCounter("checkpoint.resume.rungs_skipped")
@@ -540,12 +507,13 @@ class LadderRun {
       limits.deadline_millis = static_cast<int64_t>(RungSlice(
           static_cast<uint64_t>(remaining), rung.budget_share, last));
     }
-    const SearchSeed<Database, Op>* seed =
-        plan_.resumed && i == plan_.first_rung ? &plan_.resume_seed : nullptr;
+    const SearchContext<Database, Op> ctx{
+        metrics_, trace_,
+        plan_.resumed && i == plan_.first_rung ? &plan_.resume_seed : nullptr,
+        sink_.get()};
     if (sink_ != nullptr) {
       sink_->BeginAttempt(static_cast<int>(i), rung.algorithm, states_left_,
-                          first_attempt && seed == nullptr);
-      limits.checkpoint_sink = sink_.get();
+                          first_attempt && ctx.seed == nullptr);
       limits.cancel = cancel_;
     }
 
@@ -568,9 +536,9 @@ class LadderRun {
 
     ThreadPool* pool = PoolFor(rung.algorithm);
     Clock::time_point attempt_start = Clock::now();
-    Attempt ran{RunRung(rung.algorithm, problem, options_.beam_width, pool,
-                        limits, metrics_, seed, trace_),
-                0.0};
+    Attempt ran{
+        RunRung(rung.algorithm, problem, options_.beam_width, pool, limits, ctx),
+        0.0};
     ran.millis = MillisSince(attempt_start);
 
     if (watch_id >= 0) {
@@ -753,7 +721,7 @@ void ReportTrace(const TupeloOptions& options, const TraceMark& mark,
     const bool unverified = result.found && !result.verified;
     const bool faulted = trace->fault_count() > mark.faults;
     if (bad_stop || unverified || faulted) {
-      trace->DumpFlightRecord(options.flight_recorder_path);
+      trace->WriteChromeJson(options.flight_recorder_path);
     }
   }
   if (options.metrics != nullptr) {

@@ -138,9 +138,9 @@ struct TupeloOptions {
   // Flight recorder (requires `trace`): when non-empty and the run ends
   // badly — a resource/cancel stop (including the checkpoint-kill seam),
   // a found-but-unverified mapping, or any traced fault-injection fire —
-  // the session's retained last events are dumped here in the binary
-  // flight-record format (obs/trace.h), capturing what the run was doing
-  // when it died. tools/trace_report reads the dump.
+  // the session's retained last events are dumped here as Chrome
+  // trace-event JSON (TraceSession::WriteChromeJson), capturing what the
+  // run was doing when it died. tools/trace_report reads the dump.
   std::string flight_recorder_path;
 };
 

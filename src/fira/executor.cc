@@ -124,13 +124,6 @@ bool FaultInjector::ShouldFail(std::string_view op_name, Fault* out) {
   return true;
 }
 
-bool FaultInjector::ShouldFail(std::string_view op_name, Status* out) {
-  Fault fault;
-  if (!ShouldFail(op_name, &fault)) return false;
-  *out = std::move(fault.status);
-  return true;
-}
-
 void SetFaultInjector(FaultInjector* injector) {
   g_fault_injector.store(injector, std::memory_order_release);
 }

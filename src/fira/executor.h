@@ -97,10 +97,6 @@ class FaultInjector {
   // application must fault (see Fault::kind for what to do).
   bool ShouldFail(std::string_view op_name, Fault* out);
 
-  // Back-compat view for callers that only understand status injection:
-  // fills `out` with the fault's status regardless of kind.
-  bool ShouldFail(std::string_view op_name, Status* out);
-
  private:
   mutable std::mutex mu_;
   bool armed_ = false;

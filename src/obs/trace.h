@@ -49,11 +49,10 @@ namespace tupelo::obs {
 //    chrome://tracing. B/E pairs are reconciled per thread before export
 //    (ring overwrite can orphan an E whose B was evicted; orphans are
 //    discarded, still-open spans are closed at the last timestamp), so
-//    the exported stream always has matched pairs.
-//  - SerializeFlightRecord()/DumpFlightRecord(): a compact binary form of
-//    the same reconciled event list (magic "TFR1"), written by the
-//    flight-recorder trigger paths and parsed back by ParseFlightRecord
-//    for tools/trace_report and the fault-campaign dump self-check.
+//    the exported stream always has matched pairs. The flight-recorder
+//    trigger paths write the same export as their dump.
+//  - ParseChromeTrace(): the one reader of that export, used by
+//    tools/trace_report, the fault-campaign dump self-check and the tests.
 
 enum class TraceCategory : uint8_t {
   kSearch,      // algorithm iterations/levels, state visits, goals
@@ -75,8 +74,8 @@ enum class TracePhase : uint8_t {
   kInstant,  // Chrome "i"
 };
 
-// One event as read back out of a session (or parsed from a flight
-// record): strings materialized, args expanded. The in-ring record is a
+// One event as read back out of a session (or parsed from a Chrome
+// trace): strings materialized, args expanded. The in-ring record is a
 // private fixed-size POD; this is the export/analysis form.
 struct TraceExportEvent {
   uint64_t ts_ns = 0;  // nanoseconds since session start
@@ -143,11 +142,6 @@ class TraceSession {
   // failure.
   bool WriteChromeJson(const std::string& path) const;
 
-  // Compact binary flight record of Collect() (format: trace.cc,
-  // kFlightRecordMagic). DumpFlightRecord writes it to `path`.
-  std::string SerializeFlightRecord() const;
-  bool DumpFlightRecord(const std::string& path) const;
-
  private:
   struct Record {
     uint64_t ts_ns;
@@ -188,8 +182,8 @@ class TraceSession {
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
 };
 
-// RAII span: emits B at construction, E at destruction. End args (set
-// any time before destruction) ride on the E event — use for results
+// RAII span: emits B at construction, E at destruction. The end arg (set
+// any time before destruction) rides on the E event — use for results
 // only known at scope exit (successor counts, states examined). All
 // operations are no-ops when constructed with a null session.
 class TraceSpan {
@@ -204,27 +198,21 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan() {
     if (session_ != nullptr) {
-      session_->EmitEnd(cat_, name_, end_k1_, end_v1_, end_k2_, end_v2_);
+      session_->EmitEnd(cat_, name_, end_key_, end_value_);
     }
   }
 
   void SetEndArg(const char* key, int64_t value) {
-    end_k1_ = key;
-    end_v1_ = value;
-  }
-  void SetEndArg2(const char* key, int64_t value) {
-    end_k2_ = key;
-    end_v2_ = value;
+    end_key_ = key;
+    end_value_ = value;
   }
 
  private:
   TraceSession* session_;
   TraceCategory cat_;
   const char* name_;
-  const char* end_k1_ = nullptr;
-  const char* end_k2_ = nullptr;
-  int64_t end_v1_ = 0;
-  int64_t end_v2_ = 0;
+  const char* end_key_ = nullptr;
+  int64_t end_value_ = 0;
 };
 
 // Adapts a TraceSession to the ThreadPool's TaskTraceHook seam: every
@@ -250,13 +238,13 @@ class PoolTaskTracer final : public TaskTraceHook {
   TraceSession* session_;
 };
 
-// Binary flight-record parsing (the format SerializeFlightRecord emits).
-struct FlightRecord {
-  std::vector<TraceExportEvent> events;
-  uint32_t thread_count = 0;
-};
-Result<FlightRecord> ParseFlightRecord(std::string_view bytes);
-Result<FlightRecord> LoadFlightRecord(const std::string& path);
+// Reads the events of a Chrome trace-event JSON document: a
+// WriteChromeJson export, a flight-recorder dump, or a foreign Chrome
+// trace carrying the usual ph/ts/tid/name fields. Metadata ("M") and
+// phases other than B/E/i are skipped. ts is rounded to the nearest
+// nanosecond, so an export reads back exactly as Collect() returned it.
+// Text that is not such a document is a typed error.
+Result<std::vector<TraceExportEvent>> ParseChromeTrace(std::string_view text);
 
 }  // namespace tupelo::obs
 

@@ -84,18 +84,6 @@ struct SupervisorConfig {
 // not).
 enum class PreemptReason { kNone, kStall, kMemory };
 
-inline const char* PreemptReasonName(PreemptReason reason) {
-  switch (reason) {
-    case PreemptReason::kNone:
-      return "none";
-    case PreemptReason::kStall:
-      return "stall";
-    case PreemptReason::kMemory:
-      return "memory";
-  }
-  return "unknown";
-}
-
 // One supervised activity. `heartbeat` and `preempt` are required and
 // must outlive the watch (Watch .. Unwatch). `memory_relief` may be
 // called from the watchdog thread concurrently with the search and must

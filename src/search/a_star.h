@@ -38,7 +38,7 @@ SearchOutcome<typename P::Action> AStarSearch(
   SearchTraceEmitter emit(ctx.trace);
   obs::TraceSpan search_span(ctx.trace, obs::TraceCategory::kSearch,
                              "search.astar");
-  auto* sink = ResolveCheckpointSink<State, Action>(limits);
+  CheckpointSink<State, Action>* const sink = ctx.sink;
 
   struct Node {
     State state;
@@ -114,7 +114,7 @@ SearchOutcome<typename P::Action> AStarSearch(
     return nodes;
   };
 
-  BudgetGuard guard(limits);
+  BudgetGuard guard(limits, sink != nullptr);
   NodePtr best_node;  // anytime: lowest-h state examined so far
 
   while (!open.empty()) {

@@ -78,7 +78,7 @@ SearchOutcome<typename P::Action> BeamSearch(
       trace, obs::TraceCategory::kSearch, "search.beam", "workers",
       static_cast<int64_t>(pool == nullptr ? 1 : pool->size()));
   if (beam_width == 0) return outcome;
-  auto* sink = ResolveCheckpointSink<State, Action>(limits);
+  CheckpointSink<State, Action>* const sink = ctx.sink;
 
   obs::Counter* levels = nullptr;
   obs::Counter* tasks = nullptr;
@@ -163,7 +163,7 @@ SearchOutcome<typename P::Action> BeamSearch(
     frontier.push_back(Node{root, {}, problem.EstimateCost(root)});
   }
 
-  BudgetGuard guard(limits);
+  BudgetGuard guard(limits, sink != nullptr);
   WaitGroup wg;
 
   for (int depth = start_depth; depth <= limits.max_depth; ++depth) {

@@ -43,7 +43,7 @@ SearchOutcome<typename P::Action> GreedySearch(
   SearchTraceEmitter emit(ctx.trace);
   obs::TraceSpan search_span(ctx.trace, obs::TraceCategory::kSearch,
                              "search.greedy");
-  auto* sink = ResolveCheckpointSink<State, Action>(limits);
+  CheckpointSink<State, Action>* const sink = ctx.sink;
 
   struct Node {
     State state;
@@ -103,7 +103,7 @@ SearchOutcome<typename P::Action> GreedySearch(
     open.push(QueueEntry{problem.EstimateCost(root_state), seq++, root});
   }
 
-  BudgetGuard guard(limits);
+  BudgetGuard guard(limits, sink != nullptr);
   NodePtr best_node;  // anytime: lowest-h state examined so far
 
   while (!open.empty()) {

@@ -39,7 +39,7 @@ SearchOutcome<typename P::Action> IdaStarSearch(
   SearchTraceEmitter emit(ctx.trace);
   obs::TraceSpan search_span(ctx.trace, obs::TraceCategory::kSearch,
                              "search.ida");
-  auto* sink = ResolveCheckpointSink<State, Action>(limits);
+  CheckpointSink<State, Action>* const sink = ctx.sink;
 
   struct Dfs {
     const P& problem;
@@ -121,7 +121,7 @@ SearchOutcome<typename P::Action> IdaStarSearch(
     }
   };
 
-  BudgetGuard guard(limits);
+  BudgetGuard guard(limits, sink != nullptr);
   Dfs dfs{problem, limits, outcome, emit,
           instr,   guard,  sink,    {},      {},
           kSearchInfinity, StopReason::kExhausted, false};

@@ -42,7 +42,7 @@ SearchOutcome<typename P::Action> RbfsSearch(
   SearchTraceEmitter emit(ctx.trace);
   obs::TraceSpan search_span(ctx.trace, obs::TraceCategory::kSearch,
                              "search.rbfs");
-  auto* sink = ResolveCheckpointSink<State, Action>(limits);
+  CheckpointSink<State, Action>* const sink = ctx.sink;
 
   struct Child {
     Action action;
@@ -161,7 +161,7 @@ SearchOutcome<typename P::Action> RbfsSearch(
     }
   };
 
-  BudgetGuard guard(limits);
+  BudgetGuard guard(limits, sink != nullptr);
   Rec rec{problem, limits, outcome, emit, instr, guard, sink,
           {},      {},     StopReason::kExhausted, false};
   const State& root = problem.initial_state();

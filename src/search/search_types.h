@@ -307,16 +307,6 @@ auto GuardedExpand(const Problem& problem, const State& state,
   }
 }
 
-// Type-erased base for CheckpointSink<State, Action> so SearchLimits can
-// carry a sink without being templated. The algorithms downcast with
-// ResolveCheckpointSink<State, Action>(); a sink instantiated for other
-// state/action types simply resolves to null (no checkpointing) instead
-// of misbehaving.
-class CheckpointSinkBase {
- public:
-  virtual ~CheckpointSinkBase() = default;
-};
-
 // A resumable snapshot of one search call, captured at an algorithm's
 // checkpoint boundary and sufficient to continue the run after process
 // death (see docs/ROBUSTNESS.md, "Checkpoint & resume contract"):
@@ -337,7 +327,8 @@ class CheckpointSinkBase {
 //     is result-equivalent because the search is deterministic.
 //
 // The common fields carry run progress for budget continuity and the
-// anytime best partial path.
+// anytime best partial path. core/checkpoint.h's DiscoveryCheckpoint
+// carries one unchanged from the sink to the .tck file and back.
 template <typename State, typename Action>
 struct SearchSeed {
   // Progress at capture.
@@ -374,16 +365,18 @@ struct SearchSeed {
   std::vector<std::pair<Fp128, int64_t>> closed;
 };
 
-// Consumer of search snapshots, polled on the BudgetGuard's amortized
-// tick (every SearchLimits::check_interval visits; beam polls at its
-// level barriers, the only points where its state is a compact frontier).
-// WantSnapshot is the cheap frequency gate — building a snapshot copies
-// the frontier/open list, so algorithms only build one when it returns
-// true. Implementations decide persistence (core/checkpoint.h's file
-// sink) or anything else (tests count and cancel).
+// Consumer of search snapshots, installed as SearchContext::sink and
+// polled on the BudgetGuard's amortized tick (every
+// SearchLimits::check_interval visits; beam polls at its level barriers,
+// the only points where its state is a compact frontier). WantSnapshot is
+// the cheap frequency gate — building a snapshot copies the frontier/open
+// list, so algorithms only build one when it returns true. The snapshot
+// is handed over by value: core/tupelo.cc's file sink moves it into the
+// DiscoveryCheckpoint it writes.
 template <typename State, typename Action>
-class CheckpointSink : public CheckpointSinkBase {
+class CheckpointSink {
  public:
+  virtual ~CheckpointSink() = default;
   virtual bool WantSnapshot(uint64_t states_examined) = 0;
   virtual void OnSnapshot(SearchSeed<State, Action> seed) = 0;
 };
@@ -409,11 +402,6 @@ struct SearchLimits {
   // once every `check_interval` visits (the counting bounds above are
   // checked on every visit regardless).
   uint32_t check_interval = 16;
-  // Checkpoint consumer (not owned, may be null). Polled on the amortized
-  // tick above; must be a CheckpointSink<State, Action> instantiated for
-  // the problem's state/action types or it resolves to null and is
-  // ignored. See SearchSeed for what each algorithm captures.
-  CheckpointSinkBase* checkpoint_sink = nullptr;
   // Liveness beacon for the watchdog supervisor (not owned, may be null).
   // Stamped on the amortized poll tick with the current states/memory
   // progress; see HeartbeatSlot.
@@ -441,26 +429,18 @@ inline size_t EffectiveBeamWidth(size_t beam_width,
   return width == 0 ? 1 : width;
 }
 
-// The concrete sink for a problem's state/action types, or null when no
-// sink is installed (or one of the wrong instantiation is). Resolved once
-// per search call.
-template <typename State, typename Action>
-CheckpointSink<State, Action>* ResolveCheckpointSink(
-    const SearchLimits& limits) {
-  return dynamic_cast<CheckpointSink<State, Action>*>(limits.checkpoint_sink);
-}
-
 // Shared limit-tripping logic for the search algorithms: one object per
 // search call, consulted once per visited state. Centralizes the
 // states/depth/memory comparisons the five algorithms used to re-implement
-// and owns the amortized deadline/cancel poll.
+// and owns the amortized deadline/cancel poll. `checkpointing` says the
+// search call has a checkpoint sink (SearchContext::sink) to poll.
 class BudgetGuard {
  public:
-  explicit BudgetGuard(const SearchLimits& limits)
+  explicit BudgetGuard(const SearchLimits& limits, bool checkpointing = false)
       : limits_(limits),
+        checkpointing_(checkpointing),
         poll_(limits.cancel != nullptr || limits.deadline_millis > 0 ||
-              limits.checkpoint_sink != nullptr ||
-              limits.heartbeat != nullptr) {
+              checkpointing || limits.heartbeat != nullptr) {
     if (limits_.deadline_millis > 0) {
       deadline_ = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(limits_.deadline_millis);
@@ -483,7 +463,7 @@ class BudgetGuard {
     }
     if (poll_ && ticks_left_-- == 0) {
       ticks_left_ = limits_.check_interval;
-      checkpoint_due_ = limits_.checkpoint_sink != nullptr;
+      checkpoint_due_ = checkpointing_;
       if (limits_.heartbeat != nullptr) {
         limits_.heartbeat->Beat(states_examined, memory_nodes);
       }
@@ -505,6 +485,7 @@ class BudgetGuard {
 
  private:
   const SearchLimits& limits_;
+  bool checkpointing_;
   bool poll_;
   bool checkpoint_due_ = false;
   uint32_t ticks_left_ = 0;  // 0 so the very first Check polls
@@ -529,14 +510,16 @@ struct SearchStats {
 // The optional, nullable companions of one search call, shared by every
 // algorithm's signature: `metrics` feeds the search.* instruments
 // (search/instrumentation.h), `trace` receives spans and visit/goal/
-// iteration instants (search/trace.h), and `seed` resumes the algorithm
-// from a checkpointed core (see SearchSeed). A default-constructed context
-// is a plain, unobserved search from the root.
+// iteration instants (search/trace.h), `seed` resumes the algorithm from a
+// checkpointed core (see SearchSeed), and `sink` receives snapshots of
+// that core as the search runs (see CheckpointSink). A
+// default-constructed context is a plain, unobserved search from the root.
 template <typename State, typename Action>
 struct SearchContext {
   obs::MetricRegistry* metrics = nullptr;
   obs::TraceSession* trace = nullptr;
   const SearchSeed<State, Action>* seed = nullptr;
+  CheckpointSink<State, Action>* sink = nullptr;
 };
 
 template <typename Action>

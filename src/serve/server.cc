@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <utility>
 
 #include "obs/trace.h"
@@ -47,14 +46,16 @@ Status Server::Start() {
 void Server::Shutdown() {
   if (stopped_.exchange(true, std::memory_order_relaxed)) return;
   RequestStop();
-  // Closing the listener kicks the accept loop's poll; connection loops
-  // notice stop_requested_ at their next read timeout.
+  // Shutting the listener down kicks the accept loop's poll. The loop
+  // reads listen_fd_ until it exits, so the descriptor is closed and reset
+  // only after the join. Connection loops notice stop_requested_ at their
+  // next read timeout.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (std::thread& t : connections_) {
@@ -65,12 +66,6 @@ void Server::Shutdown() {
   // Last: preempt running jobs so their final checkpoints are on disk
   // before the process exits.
   jobs_->Shutdown();
-}
-
-void Server::WaitUntilStopRequested() {
-  while (!stop_requested()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
 }
 
 void Server::AcceptLoop() {

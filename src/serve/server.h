@@ -54,9 +54,6 @@ class Server {
     return stop_requested_.load(std::memory_order_relaxed);
   }
 
-  // Blocks until RequestStop() (signal) or a client shutdown op.
-  void WaitUntilStopRequested();
-
   uint16_t port() const { return port_; }
   JobManager& jobs() { return *jobs_; }
 

@@ -171,15 +171,6 @@ TEST(CandidateTest, ProductRequiresSpanningTargetRelation) {
   EXPECT_FALSE(HasOp(p2.CandidateOps(source), ProductOp{"R", "S"}));
 }
 
-TEST(CandidateTest, ProductCanBeDisabled) {
-  Database source = Tdb("relation R (A) { (1) }\nrelation S (B) { (2) }");
-  Database target = Tdb("relation T (A, B) { (1, 2) }");
-  SuccessorConfig config;
-  config.enable_product = false;
-  MappingProblem p = MakeProblem(source, target, config);
-  EXPECT_FALSE(HasOp(p.CandidateOps(source), ProductOp{"R", "S"}));
-}
-
 TEST(CandidateTest, DereferenceRequiresPointerEvidence) {
   Database source = Tdb("relation R (P, A) { (A, 1) }");
   Database target = Tdb("relation R (P, A, Out) { (A, 1, 1) }");

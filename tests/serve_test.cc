@@ -560,6 +560,25 @@ TEST(ServerTest, EndToEndSubmitStreamCancelMetricsShutdown) {
   EXPECT_TRUE(server.stop_requested());
 }
 
+// Shutdown after the accept loop has polled for more than 100 ms: the
+// loop reads the listen descriptor until it exits, so Shutdown may reset
+// the descriptor only after joining it (a data race under TSan
+// otherwise). Four cycles, because TSan reported that race reliably only
+// from the fourth server of a process on.
+TEST(ServerTest, ShutdownAfterAnIdleAcceptPoll) {
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    JournalDir dir("server_idle");
+    ServerConfig config;
+    config.port = 0;
+    config.jobs = BaseConfig(dir);
+    Server server(std::move(config));
+    ASSERT_TRUE(server.Start().ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    server.Shutdown();
+    EXPECT_TRUE(server.stop_requested());
+  }
+}
+
 TEST(ServerTest, ClientDisconnectCancelsInteractiveJobs) {
   JournalDir dir("server_disc");
   ServerConfig config;

@@ -1,7 +1,7 @@
 // The structured-tracing subsystem (obs/trace.h): per-thread ring
 // buffers (wraparound retention, dropped-event accounting), concurrent
 // emission from pool workers, B/E pairing in the Chrome JSON export, the
-// binary flight-record round trip, and the spans Tupelo::Discover emits
+// ParseChromeTrace round trip, and the spans Tupelo::Discover emits
 // across the driver, search, executor, and pool layers — including the
 // flight-recorder dump triggers.
 
@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -46,6 +48,14 @@ bool FileExists(const std::string& path) {
   if (f == nullptr) return false;
   std::fclose(f);
   return true;
+}
+
+// Reads a WriteChromeJson export or flight dump back through the reader.
+Result<std::vector<TraceExportEvent>> LoadTrace(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  return obs::ParseChromeTrace(text);
 }
 
 // ---------------------------------------------------------------------------
@@ -262,75 +272,63 @@ TEST(TraceExportTest, ChromeJsonHasMetadataAndBalancedPairs) {
 
 TEST(TraceExportTest, WriteChromeJsonRoundTripsThroughParser) {
   TraceSession session;
-  { TraceSpan span(&session, TraceCategory::kSearch, "s"); }
+  session.EmitInstant(TraceCategory::kSearch, "tick", "x", 42);
   std::string path = TempPath("trace_export.json");
   ASSERT_TRUE(session.WriteChromeJson(path));
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  Result<obs::JsonValue> parsed = obs::JsonValue::Parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_NE(parsed->Find("traceEvents"), nullptr);
+  Result<std::vector<TraceExportEvent>> events = LoadTrace(path);
+  ASSERT_TRUE(events.ok()) << events.status();
+  ASSERT_EQ(events->size(), 1u);
+  EXPECT_EQ((*events)[0].name, "tick");
+  ASSERT_EQ((*events)[0].args.size(), 1u);
+  EXPECT_EQ((*events)[0].args[0].second, 42);
   std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
-// Binary flight record
+// ParseChromeTrace, the reader of exports and flight dumps
 // ---------------------------------------------------------------------------
 
-TEST(FlightRecordTest, SerializeParseRoundTrip) {
+TEST(FlightRecordTest, ParseChromeTraceReadsBackCollect) {
+  // 3,000 events: enough nanosecond timestamps that reading ts with a
+  // truncating cast instead of rounding gets some of them 1 ns short.
   TraceSession session;
-  {
-    TraceSpan span(&session, TraceCategory::kExecutor, "op.promote", "rel", 2);
-    session.EmitInstant(TraceCategory::kFault, "fault.injected", "n", 1);
+  for (int64_t i = 0; i < 1000; ++i) {
+    TraceSpan span(&session, TraceCategory::kExecutor, "op.promote", "rel", i);
+    session.EmitInstant(TraceCategory::kFault, "fault.injected", "n", -i,
+                        "m", i * 7);
+    span.SetEndArg("rows", i % 5);
   }
-  std::string bytes = session.SerializeFlightRecord();
-  Result<obs::FlightRecord> record = obs::ParseFlightRecord(bytes);
-  ASSERT_TRUE(record.ok()) << record.status();
   std::vector<TraceExportEvent> direct = session.Collect();
-  ASSERT_EQ(record->events.size(), direct.size());
+  ASSERT_EQ(direct.size(), 3000u);
+  Result<std::vector<TraceExportEvent>> parsed =
+      obs::ParseChromeTrace(session.ToChromeJson().Dump());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed->size(), direct.size());
   for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(record->events[i].name, direct[i].name);
-    EXPECT_EQ(record->events[i].ts_ns, direct[i].ts_ns);
-    EXPECT_EQ(record->events[i].tid, direct[i].tid);
-    EXPECT_EQ(record->events[i].phase, direct[i].phase);
-    EXPECT_EQ(record->events[i].cat, direct[i].cat);
-    ASSERT_EQ(record->events[i].args.size(), direct[i].args.size());
-    for (size_t j = 0; j < direct[i].args.size(); ++j) {
-      EXPECT_EQ(record->events[i].args[j], direct[i].args[j]);
-    }
+    const TraceExportEvent& e = (*parsed)[i];
+    EXPECT_EQ(e.ts_ns, direct[i].ts_ns) << "event " << i;
+    EXPECT_EQ(e.tid, direct[i].tid) << "event " << i;
+    EXPECT_EQ(e.phase, direct[i].phase) << "event " << i;
+    EXPECT_EQ(e.cat, direct[i].cat) << "event " << i;
+    EXPECT_EQ(e.name, direct[i].name) << "event " << i;
+    EXPECT_EQ(e.args, direct[i].args) << "event " << i;
   }
-  EXPECT_EQ(record->thread_count, 1u);
 }
 
 TEST(FlightRecordTest, RejectsCorruptInput) {
-  EXPECT_FALSE(obs::ParseFlightRecord("").ok());
-  EXPECT_FALSE(obs::ParseFlightRecord("NOPE").ok());
+  EXPECT_FALSE(obs::ParseChromeTrace("").ok());
+  EXPECT_FALSE(obs::ParseChromeTrace("NOPE").ok());
   TraceSession session;
   session.EmitInstant(TraceCategory::kSearch, "tick");
-  std::string bytes = session.SerializeFlightRecord();
-  // Truncation anywhere must yield a typed error, never a crash.
-  for (size_t cut : {size_t{1}, bytes.size() / 2, bytes.size() - 1}) {
-    Result<obs::FlightRecord> r =
-        obs::ParseFlightRecord(std::string_view(bytes).substr(0, cut));
-    EXPECT_FALSE(r.ok()) << "cut=" << cut;
+  std::string text = session.ToChromeJson().Dump();
+  // A cut anywhere that breaks the document yields a typed error, never
+  // a crash.
+  for (size_t cut : {size_t{1}, text.size() / 2, text.size() - 1}) {
+    Result<std::vector<TraceExportEvent>> r =
+        obs::ParseChromeTrace(std::string_view(text).substr(0, cut));
+    ASSERT_FALSE(r.ok()) << "cut=" << cut;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << "cut=" << cut;
   }
-}
-
-TEST(FlightRecordTest, DumpAndLoadFile) {
-  TraceSession session;
-  session.EmitInstant(TraceCategory::kSearch, "tick", "x", 42);
-  std::string path = TempPath("trace_flight.bin");
-  ASSERT_TRUE(session.DumpFlightRecord(path));
-  Result<obs::FlightRecord> record = obs::LoadFlightRecord(path);
-  ASSERT_TRUE(record.ok()) << record.status();
-  ASSERT_EQ(record->events.size(), 1u);
-  EXPECT_EQ(record->events[0].name, "tick");
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -398,7 +396,7 @@ TEST(DiscoverTraceTest, FlightRecorderDumpsOnResourceStop) {
   Database target = Tdb("relation T (X, B) { (1, 2) }");
   Tupelo system(source, target);
   TraceSession session;
-  std::string path = TempPath("trace_fr_stop.bin");
+  std::string path = TempPath("trace_fr_stop.json");
   std::remove(path.c_str());
   TupeloOptions options;
   options.trace = &session;
@@ -409,9 +407,9 @@ TEST(DiscoverTraceTest, FlightRecorderDumpsOnResourceStop) {
   ASSERT_FALSE(r->found);
   ASSERT_TRUE(IsResourceStop(r->stop_reason));
   ASSERT_TRUE(FileExists(path));
-  Result<obs::FlightRecord> record = obs::LoadFlightRecord(path);
-  ASSERT_TRUE(record.ok()) << record.status();
-  EXPECT_FALSE(record->events.empty());
+  Result<std::vector<TraceExportEvent>> events = LoadTrace(path);
+  ASSERT_TRUE(events.ok()) << events.status();
+  EXPECT_FALSE(events->empty());
   std::remove(path.c_str());
 }
 
@@ -420,7 +418,7 @@ TEST(DiscoverTraceTest, FlightRecorderStaysQuietOnSuccess) {
   Database target = Tdb("relation R (B) { (1) }");
   Tupelo system(source, target);
   TraceSession session;
-  std::string path = TempPath("trace_fr_ok.bin");
+  std::string path = TempPath("trace_fr_ok.json");
   std::remove(path.c_str());
   TupeloOptions options;
   options.trace = &session;
@@ -438,7 +436,7 @@ TEST(DiscoverTraceTest, FlightRecorderDumpsOnCheckpointKill) {
   Tupelo system(source, target);
   TraceSession session;
   std::string cp_path = TempPath("trace_fr_kill.cp");
-  std::string fr_path = TempPath("trace_fr_kill.bin");
+  std::string fr_path = TempPath("trace_fr_kill.json");
   std::remove(fr_path.c_str());
   TupeloOptions options;
   options.trace = &session;
@@ -450,11 +448,11 @@ TEST(DiscoverTraceTest, FlightRecorderDumpsOnCheckpointKill) {
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->stop_reason, StopReason::kCancelled);
   ASSERT_TRUE(FileExists(fr_path));
-  Result<obs::FlightRecord> record = obs::LoadFlightRecord(fr_path);
-  ASSERT_TRUE(record.ok()) << record.status();
+  Result<std::vector<TraceExportEvent>> events = LoadTrace(fr_path);
+  ASSERT_TRUE(events.ok()) << events.status();
   // The dump must capture checkpoint activity from the killed run.
   bool saw_checkpoint = false;
-  for (const TraceExportEvent& e : record->events) {
+  for (const TraceExportEvent& e : *events) {
     if (e.name == "checkpoint.write") saw_checkpoint = true;
   }
   EXPECT_TRUE(saw_checkpoint);
@@ -466,7 +464,7 @@ TEST(DiscoverTraceTest, FlightRecorderPathRequiresTraceSession) {
   Database db = Tdb("relation R (A) { (1) }");
   Tupelo system(db, db);
   TupeloOptions options;
-  options.flight_recorder_path = TempPath("never_written.bin");
+  options.flight_recorder_path = TempPath("never_written.json");
   Result<TupeloResult> r = system.Discover(options);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);

@@ -65,10 +65,10 @@
 //
 // Every trial also records into a small per-trial TraceSession with the
 // flight recorder armed: a trial that is killed, stops for a bad reason,
-// or absorbs injected faults leaves a binary last-events dump
+// or absorbs injected faults leaves a Chrome-JSON last-events dump
 // (fault_campaign_<seed>_<trial>.flight), and the campaign immediately
-// reloads each dump through ParseFlightRecord — an unparseable dump is
-// itself a violation. With --json= the dumps stay next to the report,
+// reloads each dump through obs::ParseChromeTrace — an unparseable dump
+// is itself a violation. With --json= the dumps stay next to the report,
 // whose per-trial trace_path fields name them; without it they go to a
 // fresh temp directory that is removed when the campaign ends.
 //
@@ -85,6 +85,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -762,18 +764,20 @@ int main(int argc, char** argv) {
     }
 
     // Flight-recorder self-check: any dump this trial left behind must
-    // reload cleanly through the binary parser — a corrupt dump is
-    // itself a violation.
+    // reload cleanly through the trace reader — a corrupt dump is itself
+    // a violation.
     bool dumped = false;
-    if (std::FILE* f = std::fopen(flight_path.c_str(), "rb"); f != nullptr) {
-      std::fclose(f);
+    if (std::ifstream dump(flight_path, std::ios::binary); dump) {
       dumped = true;
       ++campaign.flight_dumps;
-      Result<obs::FlightRecord> record = obs::LoadFlightRecord(flight_path);
-      if (!record.ok()) {
+      std::string text((std::istreambuf_iterator<char>(dump)),
+                       std::istreambuf_iterator<char>());
+      Result<std::vector<obs::TraceExportEvent>> events =
+          obs::ParseChromeTrace(text);
+      if (!events.ok()) {
         campaign.Violation(t, "flight-record dump unparseable: " +
-                                  record.status().ToString());
-      } else if (record->events.empty()) {
+                                  events.status().ToString());
+      } else if (events->empty()) {
         campaign.Violation(t, "flight-record dump has no events");
       }
     }

@@ -1,7 +1,7 @@
-// trace_report: offline analysis of a discovery trace — either the
-// Chrome trace-event JSON written by a --trace= run or the binary "TFR1"
-// flight record left behind by the flight recorder (the input kind is
-// sniffed from the file's first bytes).
+// trace_report: offline analysis of a discovery trace — the Chrome
+// trace-event JSON written by a --trace= run or left behind by the flight
+// recorder (both are TraceSession::WriteChromeJson exports, read back with
+// obs::ParseChromeTrace).
 //
 // Sections:
 //   - top spans by self time: where the wall clock actually went, with
@@ -14,10 +14,10 @@
 //     its interval;
 //   - progress timeline: bucketed event counts with goal / iteration /
 //     fault / checkpoint marks, a coarse "was it still making progress"
-//     view for flight records.
+//     view for flight dumps.
 //
 // Usage:
-//   trace_report <trace.json | dump.flight> [--top=N] [--buckets=N]
+//   trace_report <trace.json | trace.json.flight> [--top=N] [--buckets=N]
 
 #include <algorithm>
 #include <cstdint>
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "obs/json_writer.h"
 #include "obs/trace.h"
 
 namespace tupelo {
@@ -50,66 +49,6 @@ Result<std::string> ReadFileBytes(const std::string& path) {
     return Status::Internal("read error on " + path);
   }
   return std::move(buf).str();
-}
-
-TraceCategory CategoryFromName(std::string_view name) {
-  for (TraceCategory cat :
-       {TraceCategory::kSearch, TraceCategory::kExpand,
-        TraceCategory::kHeuristic, TraceCategory::kExecutor,
-        TraceCategory::kPool, TraceCategory::kDriver, TraceCategory::kVerify,
-        TraceCategory::kCheckpoint, TraceCategory::kFault}) {
-    if (obs::TraceCategoryName(cat) == name) return cat;
-  }
-  return TraceCategory::kSearch;
-}
-
-// Rebuilds export events from the Chrome trace-event JSON that
-// TraceSession::WriteChromeJson emits (ts in microseconds; "M" metadata
-// rows skipped). Tolerates foreign Chrome traces as long as the usual
-// ph/ts/tid/name fields are present.
-Result<std::vector<TraceExportEvent>> FromChromeJson(std::string_view text) {
-  Result<obs::JsonValue> doc = obs::JsonValue::Parse(text);
-  if (!doc.ok()) return doc.status();
-  const obs::JsonValue* events = doc->Find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    return Status::InvalidArgument("no traceEvents array");
-  }
-  std::vector<TraceExportEvent> out;
-  out.reserve(events->elements().size());
-  for (const obs::JsonValue& e : events->elements()) {
-    const obs::JsonValue* ph = e.Find("ph");
-    const obs::JsonValue* ts = e.Find("ts");
-    const obs::JsonValue* tid = e.Find("tid");
-    const obs::JsonValue* name = e.Find("name");
-    if (ph == nullptr || ts == nullptr || tid == nullptr || name == nullptr) {
-      continue;
-    }
-    const std::string& phase = ph->as_string();
-    TraceExportEvent ev;
-    if (phase == "B") {
-      ev.phase = TracePhase::kBegin;
-    } else if (phase == "E") {
-      ev.phase = TracePhase::kEnd;
-    } else if (phase == "i" || phase == "I") {
-      ev.phase = TracePhase::kInstant;
-    } else {
-      continue;  // metadata, counters, complete events from other tools
-    }
-    ev.ts_ns = static_cast<uint64_t>(ts->as_double() * 1000.0);
-    ev.tid = static_cast<uint32_t>(tid->as_int());
-    ev.name = name->as_string();
-    if (const obs::JsonValue* cat = e.Find("cat"); cat != nullptr) {
-      ev.cat = CategoryFromName(cat->as_string());
-    }
-    if (const obs::JsonValue* args = e.Find("args");
-        args != nullptr && args->is_object()) {
-      for (const auto& [key, value] : args->members()) {
-        if (value.is_number()) ev.args.emplace_back(key, value.as_int());
-      }
-    }
-    out.push_back(std::move(ev));
-  }
-  return out;
 }
 
 struct SpanAgg {
@@ -343,8 +282,8 @@ void PrintTimeline(const std::vector<TraceExportEvent>& events,
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: trace_report <trace.json | dump.flight> [--top=N] "
-               "[--buckets=N]\n");
+               "usage: trace_report <trace.json | trace.json.flight> "
+               "[--top=N] [--buckets=N]\n");
   return 2;
 }
 
@@ -379,27 +318,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<obs::TraceExportEvent> events;
-  const char* kind = "chrome-json";
-  if (bytes->size() >= 4 && bytes->compare(0, 4, "TFR1") == 0) {
-    kind = "flight-record";
-    Result<obs::FlightRecord> record = obs::ParseFlightRecord(*bytes);
-    if (!record.ok()) {
-      std::fprintf(stderr, "trace_report: %s\n",
-                   record.status().ToString().c_str());
-      return 1;
-    }
-    events = std::move(record->events);
-  } else {
-    Result<std::vector<obs::TraceExportEvent>> parsed =
-        FromChromeJson(*bytes);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "trace_report: %s\n",
-                   parsed.status().ToString().c_str());
-      return 1;
-    }
-    events = *std::move(parsed);
+  Result<std::vector<obs::TraceExportEvent>> parsed =
+      obs::ParseChromeTrace(*bytes);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "trace_report: %s\n",
+                 parsed.status().ToString().c_str());
+    return 1;
   }
+  std::vector<obs::TraceExportEvent> events = *std::move(parsed);
   // Stable: equal-timestamp B/E pairs within a thread must keep their
   // emission order or the stack walk would orphan them.
   std::stable_sort(
@@ -409,9 +335,9 @@ int main(int argc, char** argv) {
       });
 
   Analysis a = Analyze(events);
-  std::printf("# trace_report: %s, %zu events, %zu threads, %.3f ms, "
+  std::printf("# trace_report: %zu events, %zu threads, %.3f ms, "
               "%llu instants, %llu faults\n\n",
-              kind, events.size(), a.threads.size(),
+              events.size(), a.threads.size(),
               Ms(a.last_ns - a.first_ns),
               static_cast<unsigned long long>(a.instants),
               static_cast<unsigned long long>(a.faults));
