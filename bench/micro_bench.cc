@@ -172,9 +172,13 @@ void BM_Containment(benchmark::State& state) {
 }
 BENCHMARK(BM_Containment)->Arg(4)->Arg(16)->Arg(32);
 
+// range(1) is the synthetic pair's n. The target of n=8 has 17 distinct
+// symbols and that of n=32 has 65, so h1/h2/h3's target-symbol bitsets
+// take one 64-bit word per column at n=8 and two at n=32.
 void BM_HeuristicEval(benchmark::State& state) {
   HeuristicKind kind = static_cast<HeuristicKind>(state.range(0));
-  SyntheticMatchingPair pair = MakeSyntheticMatchingPair(8);
+  SyntheticMatchingPair pair =
+      MakeSyntheticMatchingPair(static_cast<size_t>(state.range(1)));
   std::unique_ptr<Heuristic> h =
       MakeHeuristic(kind, pair.target, SearchAlgorithm::kRbfs);
   for (auto _ : state) {
@@ -183,11 +187,13 @@ void BM_HeuristicEval(benchmark::State& state) {
   state.SetLabel(std::string(HeuristicKindName(kind)));
 }
 BENCHMARK(BM_HeuristicEval)
-    ->Arg(static_cast<int>(HeuristicKind::kH1))
-    ->Arg(static_cast<int>(HeuristicKind::kH2))
-    ->Arg(static_cast<int>(HeuristicKind::kLevenshtein))
-    ->Arg(static_cast<int>(HeuristicKind::kEuclidean))
-    ->Arg(static_cast<int>(HeuristicKind::kCosine));
+    ->ArgsProduct({{static_cast<int>(HeuristicKind::kH1),
+                    static_cast<int>(HeuristicKind::kH2),
+                    static_cast<int>(HeuristicKind::kH3),
+                    static_cast<int>(HeuristicKind::kLevenshtein),
+                    static_cast<int>(HeuristicKind::kEuclidean),
+                    static_cast<int>(HeuristicKind::kCosine)},
+                   {8, 32}});
 
 // Strings of length n differing every 3rd character — roughly the shape
 // of two TNF encodings of sibling states.

@@ -33,7 +33,7 @@ MappingProblem::MappingProblem(
     SuccessorConfig config)
     : source_(std::move(source)),
       target_(std::move(target)),
-      target_symbols_(SymbolSets::FromDatabase(target_)),
+      target_index_(target_),
       heuristic_(std::move(heuristic)),
       registry_(registry),
       correspondences_(std::move(correspondences)),
@@ -164,25 +164,19 @@ void MappingProblem::TrimCaches() const {
 std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
   std::vector<Op> ops;
   const bool prune = config_.prune;
-  const SymbolSets& ts = target_symbols_;
-
-  // Attribute names of the whole current state, for rename pruning.
-  SymbolSets state_symbols = SymbolSets::FromDatabase(state);
+  const TargetSymbolIndex& ts = target_index_;
+  using Column = TargetSymbolIndex::Column;
+  const std::vector<std::string>& target_rels = ts.symbols(Column::kRel);
+  const std::vector<std::string>& target_atts = ts.symbols(Column::kAtt);
 
   // §2.3's example rule: "if the current search state has all attribute
   // names occurring in the target state, there is no need to explore
   // applications of the attribute renaming operator" — i.e. renames are
   // pruned as a class once nothing is missing, but an individual rename
   // may move even a target-named element (rename chains/swaps need this).
-  bool any_att_missing = false;
-  for (const std::string& att : ts.atts) {
-    if (!state_symbols.atts.contains(att)) {
-      any_att_missing = true;
-      break;
-    }
-  }
+  const bool any_att_missing = ts.AnyAttributeMissing(state);
   bool any_rel_missing = false;
-  for (const std::string& rel_name : ts.rels) {
+  for (const std::string& rel_name : target_rels) {
     if (!state.HasRelation(rel_name)) {
       any_rel_missing = true;
       break;
@@ -193,7 +187,7 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
     const Relation& rel = *relp;
     // ρrel: rename this relation to a missing target relation name.
     if (!prune || any_rel_missing) {
-      for (const std::string& to : ts.rels) {
+      for (const std::string& to : target_rels) {
         if (state.HasRelation(to)) continue;
         ops.push_back(RenameRelOp{rname, to});
       }
@@ -204,10 +198,10 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
     // data values — i.e. h2-style evidence that demotion is needed.
     if (!rel.HasAttribute(kDemoteAttrColumn) &&
         !rel.HasAttribute(kDemoteValueColumn)) {
-      bool wanted = !prune || ts.values.contains(rname);
+      bool wanted = !prune || ts.Contains(Column::kValue, rname);
       if (!wanted) {
         for (const std::string& attr : rel.attributes()) {
-          if (ts.values.contains(attr)) {
+          if (ts.Contains(Column::kValue, attr)) {
             wanted = true;
             break;
           }
@@ -220,7 +214,7 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
     // are available and its output is absent.
     for (const SemanticCorrespondence& c : correspondences_) {
       if (rel.HasAttribute(c.output)) continue;
-      if (prune && !ts.atts.contains(c.output)) continue;
+      if (prune && !ts.Contains(Column::kAtt, c.output)) continue;
       bool inputs_ok = true;
       for (const std::string& in : c.inputs) {
         if (!rel.HasAttribute(in)) {
@@ -248,14 +242,14 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
       // ρatt: rename into a missing target attribute. Pruned as a class
       // when no target attribute is missing anywhere in the state.
       if (!prune || any_att_missing) {
-        for (const std::string& to : ts.atts) {
+        for (const std::string& to : target_atts) {
           if (rel.HasAttribute(to)) continue;
           ops.push_back(RenameAttrOp{rname, attr, to});
         }
       }
 
       // π̄: drop a column the target does not mention.
-      if (rel.arity() > 1 && (!prune || !ts.atts.contains(attr))) {
+      if (rel.arity() > 1 && (!prune || !ts.Contains(Column::kAtt, attr))) {
         ops.push_back(DropOp{rname, attr});
       }
 
@@ -263,7 +257,7 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
       // relations.
       if (!prune ||
           AnyColumnValue(rel, i, [&](const std::string& v) {
-            return ts.rels.contains(v) && !state.HasRelation(v);
+            return ts.Contains(Column::kRel, v) && !state.HasRelation(v);
           })) {
         ops.push_back(PartitionOp{rname, attr});
       }
@@ -273,7 +267,7 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
       // value of this column is a missing target attribute name.
       bool promote_wanted =
           !prune || AnyColumnValue(rel, i, [&](const std::string& v) {
-            return ts.atts.contains(v) && !rel.HasAttribute(v);
+            return ts.Contains(Column::kAtt, v) && !rel.HasAttribute(v);
           });
       if (promote_wanted) {
         for (size_t j = 0; j < rel.arity(); ++j) {
@@ -289,7 +283,7 @@ std::vector<Op> MappingProblem::CandidateOps(const Database& state) const {
             return rel.HasAttribute(v);
           });
       if (pointer_ok) {
-        for (const std::string& out : ts.atts) {
+        for (const std::string& out : target_atts) {
           if (rel.HasAttribute(out)) continue;
           // Kept when another relation has `out`: dup-filter drops no-ops.
           ops.push_back(DereferenceOp{rname, attr, out});

@@ -53,6 +53,9 @@ struct SuccessorConfig {
   // are expanded many times over; the cache turns those re-expansions into
   // a lookup. 0 disables it. Cached successor states are reported via
   // AuxMemoryNodes() and count toward SearchLimits::max_memory_nodes.
+  // Tupelo::Discover builds its beam rungs' problems with 0 whatever is
+  // set here: a beam attempt expands each state at most once, so the
+  // cache would never hit and only keep successor lists alive.
   size_t expand_cache_capacity = 256;
 };
 
@@ -229,7 +232,8 @@ class MappingProblem {
 
   Database source_;
   Database target_;
-  SymbolSets target_symbols_;
+  // The target's symbols for CandidateOps' §2.3 pruning tests.
+  TargetSymbolIndex target_index_;
   std::unique_ptr<Heuristic> heuristic_;
   const FunctionRegistry* registry_;
   std::vector<SemanticCorrespondence> correspondences_;

@@ -447,11 +447,17 @@ class LadderRun {
   // call's deadline expired before an attempt could start.
   std::optional<SearchOutcome<Op>> RunRungAttempts(size_t i) {
     const SearchAlgorithm algorithm = plan_.ladder[i].algorithm;
+    // A beam attempt expands each state at most once, so an Expand cache
+    // would only keep successor lists alive.
+    SuccessorConfig successors = options_.successors;
+    if (algorithm == SearchAlgorithm::kBeam) {
+      successors.expand_cache_capacity = 0;
+    }
     MappingProblem problem(
         tupelo_.source(), tupelo_.target(),
         MakeHeuristic(options_.heuristic, tupelo_.target(), algorithm,
                       options_.scale_k),
-        tupelo_.registry(), tupelo_.correspondences(), options_.successors);
+        tupelo_.registry(), tupelo_.correspondences(), successors);
     problem.set_metrics(metrics_);
     problem.set_trace(trace_);
     int64_t backoff_millis =

@@ -1,68 +1,112 @@
 #include "heuristics/set_based.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace tupelo {
-namespace {
 
-// |a − b| for sorted sets.
-int DifferenceSize(const std::set<std::string>& a,
-                   const std::set<std::string>& b) {
-  int n = 0;
-  for (const std::string& s : a) {
-    if (!b.contains(s)) ++n;
-  }
-  return n;
-}
-
-// |a ∩ b| for sorted sets.
-int IntersectionSize(const std::set<std::string>& a,
-                     const std::set<std::string>& b) {
-  int n = 0;
-  const std::set<std::string>& small = a.size() <= b.size() ? a : b;
-  const std::set<std::string>& large = a.size() <= b.size() ? b : a;
-  for (const std::string& s : small) {
-    if (large.contains(s)) ++n;
-  }
-  return n;
-}
-
-}  // namespace
-
-SymbolSets SymbolSets::FromDatabase(const Database& db) {
-  SymbolSets out;
-  for (const auto& [rname, relp] : db.relations()) {
+TargetSymbolIndex::TargetSymbolIndex(const Database& target) {
+  std::array<std::set<std::string>, kColumns> columns;
+  for (const auto& [rname, relp] : target.relations()) {
     const Relation& rel = *relp;
-    out.rels.insert(rname);
-    for (const std::string& attr : rel.attributes()) out.atts.insert(attr);
+    columns[kRel].insert(rname);
+    for (const std::string& attr : rel.attributes()) columns[kAtt].insert(attr);
     for (const Tuple& t : rel.tuples()) {
       for (const Value& v : t.values()) {
-        if (!v.is_null()) out.values.insert(v.atom());
+        if (!v.is_null()) columns[kValue].insert(v.atom());
       }
     }
   }
-  return out;
+  for (Column c : {kRel, kAtt, kValue}) {
+    for (const std::string& s : columns[c]) {
+      ids_.emplace(s, static_cast<uint32_t>(ids_.size()));
+    }
+    symbols_[c].assign(columns[c].begin(), columns[c].end());
+  }
+  stride_ = (ids_.size() + 63) / 64;
+  target_ = Collect(target);
+}
+
+void TargetSymbolIndex::Mark(const std::string& symbol,
+                             uint64_t* column) const {
+  auto it = ids_.find(symbol);
+  if (it == ids_.end()) return;
+  column[it->second / 64] |= uint64_t{1} << (it->second % 64);
+}
+
+bool TargetSymbolIndex::Contains(Column c, const std::string& symbol) const {
+  auto it = ids_.find(symbol);
+  if (it == ids_.end()) return false;
+  return (target_.column(c)[it->second / 64] >> (it->second % 64)) & 1;
+}
+
+TargetSymbolIndex::Symbols TargetSymbolIndex::Collect(
+    const Database& db) const {
+  Symbols x(stride_);
+  uint64_t* rels = x.mutable_column(kRel);
+  uint64_t* atts = x.mutable_column(kAtt);
+  uint64_t* values = x.mutable_column(kValue);
+  for (const auto& [rname, relp] : db.relations()) {
+    const Relation& rel = *relp;
+    Mark(rname, rels);
+    for (const std::string& attr : rel.attributes()) Mark(attr, atts);
+    for (const Tuple& t : rel.tuples()) {
+      for (const Value& v : t.values()) {
+        if (!v.is_null()) Mark(v.atom(), values);
+      }
+    }
+  }
+  return x;
+}
+
+bool TargetSymbolIndex::AnyAttributeMissing(const Database& db) const {
+  std::vector<uint64_t> held(stride_);
+  for (const auto& [rname, relp] : db.relations()) {
+    for (const std::string& attr : relp->attributes()) {
+      Mark(attr, held.data());
+    }
+  }
+  const uint64_t* wanted = target_.column(kAtt);
+  for (size_t w = 0; w < stride_; ++w) {
+    if ((wanted[w] & ~held[w]) != 0) return true;
+  }
+  return false;
+}
+
+int TargetSymbolIndex::MissingCount(const Symbols& x) const {
+  int n = 0;
+  for (Column c : {kRel, kAtt, kValue}) {
+    const uint64_t* t = target_.column(c);
+    const uint64_t* s = x.column(c);
+    for (size_t w = 0; w < stride_; ++w) n += std::popcount(t[w] & ~s[w]);
+  }
+  return n;
+}
+
+int TargetSymbolIndex::MisplacedCount(const Symbols& x) const {
+  int n = 0;
+  for (Column c : {kRel, kAtt, kValue}) {
+    const uint64_t* t = target_.column(c);
+    for (Column d : {kRel, kAtt, kValue}) {
+      if (d == c) continue;
+      const uint64_t* s = x.column(d);
+      for (size_t w = 0; w < stride_; ++w) n += std::popcount(t[w] & s[w]);
+    }
+  }
+  return n;
 }
 
 int H1Heuristic::Estimate(const Database& state) const {
-  SymbolSets x = SymbolSets::FromDatabase(state);
-  return DifferenceSize(target_.rels, x.rels) +
-         DifferenceSize(target_.atts, x.atts) +
-         DifferenceSize(target_.values, x.values);
+  return index_.MissingCount(index_.Collect(state));
 }
 
 int H2Heuristic::Estimate(const Database& state) const {
-  SymbolSets x = SymbolSets::FromDatabase(state);
-  return IntersectionSize(target_.rels, x.atts) +
-         IntersectionSize(target_.rels, x.values) +
-         IntersectionSize(target_.atts, x.rels) +
-         IntersectionSize(target_.atts, x.values) +
-         IntersectionSize(target_.values, x.rels) +
-         IntersectionSize(target_.values, x.atts);
+  return index_.MisplacedCount(index_.Collect(state));
 }
 
 int H3Heuristic::Estimate(const Database& state) const {
-  return std::max(h1_.Estimate(state), h2_.Estimate(state));
+  const TargetSymbolIndex::Symbols x = index_.Collect(state);
+  return std::max(index_.MissingCount(x), index_.MisplacedCount(x));
 }
 
 namespace {

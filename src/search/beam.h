@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -34,18 +36,22 @@ namespace tupelo {
 //
 //   Phase B (merge): on the calling thread, in frontier order — budget
 //   guard, examined count, best-h update, goal test, then successor dedup
-//   against `seen` in generation order.
+//   against `seen` in generation order. Fresh successors move into a flat
+//   list with their parent's index; the width cut picks the best by
+//   (h, generation index) with a partial sort, and only the kept ones get
+//   a node and a copy of their parent's path.
 //
 // `seen` only grows, so a successor that is new at merge time was new when
 // it was prepared and has its estimate. The dedup set, the budget guard
 // and every stats update run in the same order with or without a pool, so
 // the SearchOutcome is the same for every pool size (the only divergence
-// channel is the expand transposition cache's LRU order, which can shift
-// AuxMemoryNodes after an eviction; see docs/PERFORMANCE.md). Only the
-// heuristic work differs: a pooled worker cannot see the successors that
-// earlier nodes of its level add to `seen`, so it also estimates those. A
-// worker that observes the CancelToken skips its node and the merge
-// prepares it inline, so a cancellation race costs only parallelism.
+// channel is an expand transposition cache's LRU order, which can shift
+// AuxMemoryNodes after an eviction; Tupelo::Discover runs its beam rungs
+// with no such cache, see docs/PERFORMANCE.md). Only the heuristic work
+// differs: a pooled worker cannot see the successors that earlier nodes
+// of its level add to `seen`, so it also estimates those. A worker that
+// observes the CancelToken skips its node and the merge prepares it
+// inline, so a cancellation race costs only parallelism.
 //
 // Tracing: each depth level opens with an `iteration` instant whose value
 // is the smallest h in the frontier — the beam's analog of IDA*'s f-bound,
@@ -90,6 +96,13 @@ SearchOutcome<typename P::Action> BeamSearch(
   struct Node {
     State state;
     std::vector<Action> path;
+    int64_t h;
+  };
+  // A successor that passed dedup at merge time, before the width cut.
+  struct Fresh {
+    State state;
+    Action action;
+    size_t parent;  // index into the level's frontier
     int64_t h;
   };
 
@@ -227,10 +240,12 @@ SearchOutcome<typename P::Action> BeamSearch(
       wg.Wait();
     }
 
-    // Phase B: sequential merge in frontier order.
+    // Phase B: sequential merge in frontier order. Fresh successors move
+    // into a flat list in generation order; only the ones that make the
+    // width cut get a Node (and a copy of their parent's path).
     obs::TraceSpan merge_span(trace, obs::TraceCategory::kSearch,
                               "beam.phase_b");
-    std::vector<Node> next_level;
+    std::vector<Fresh> fresh;
     for (size_t i = 0; i < frontier.size(); ++i) {
       Node& node = frontier[i];
       // Depth is bounded by the level loop itself; pass 0 so the guard
@@ -269,26 +284,41 @@ SearchOutcome<typename P::Action> BeamSearch(
           instr.OnDuplicateHit();
           continue;
         }
-        std::vector<Action> path = node.path;
-        path.push_back(std::move(prep.successors[s].action));
-        next_level.push_back(Node{std::move(prep.successors[s].state),
-                                  std::move(path), prep.hs[s]});
+        fresh.push_back(Fresh{std::move(prep.successors[s].state),
+                              std::move(prep.successors[s].action), i,
+                              prep.hs[s]});
       }
       prep = Prepared{};  // drop the duplicates now, not at the level's end
     }
-    if (next_level.empty()) return outcome;  // beam ran dry
+    if (fresh.empty()) return outcome;  // beam ran dry
 
-    // Keep the beam_width best by h (stable within ties). The supervisor
-    // can narrow the effective width mid-run via width pressure (staged
-    // memory degradation); pressure-free this is the configured width.
+    // Keep the level_width best by h, ties in generation order: the order
+    // a stable sort by h gives. The supervisor can narrow the effective
+    // width mid-run via width pressure (staged memory degradation);
+    // pressure-free this is the configured width.
     const size_t level_width =
         EffectiveBeamWidth(beam_width, limits.width_pressure);
-    if (next_level.size() > level_width) {
-      emit.BeamDrop(depth,
-                    static_cast<int64_t>(next_level.size() - level_width));
-      std::stable_sort(next_level.begin(), next_level.end(),
-                       [](const Node& a, const Node& b) { return a.h < b.h; });
-      next_level.resize(level_width);
+    std::vector<size_t> order(fresh.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    if (fresh.size() > level_width) {
+      emit.BeamDrop(depth, static_cast<int64_t>(fresh.size() - level_width));
+      std::partial_sort(order.begin(), order.begin() + level_width,
+                        order.end(), [&fresh](size_t a, size_t b) {
+                          return std::tie(fresh[a].h, a) <
+                                 std::tie(fresh[b].h, b);
+                        });
+      order.resize(level_width);
+    }
+    std::vector<Node> next_level;
+    next_level.reserve(order.size());
+    for (size_t k : order) {
+      Fresh& f = fresh[k];
+      const std::vector<Action>& parent_path = frontier[f.parent].path;
+      std::vector<Action> path;
+      path.reserve(parent_path.size() + 1);
+      path.assign(parent_path.begin(), parent_path.end());
+      path.push_back(std::move(f.action));
+      next_level.push_back(Node{std::move(f.state), std::move(path), f.h});
     }
     frontier = std::move(next_level);
   }

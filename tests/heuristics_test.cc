@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
-
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "heuristics/heuristic_factory.h"
 #include "heuristics/levenshtein.h"
@@ -148,15 +151,258 @@ TEST(DatabaseStringTest, IndependentOfTupleOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Symbol sets and h1/h2/h3
+// Target symbol index and h1/h2/h3
 // ---------------------------------------------------------------------------
 
-TEST(SymbolSetsTest, CollectsAllThreeCategories) {
+using Column = TargetSymbolIndex::Column;
+
+TEST(TargetSymbolIndexTest, CollectsAllThreeCategories) {
   Database db = Tdb("relation R (A, B) { (1, null) }\nrelation S (C) { }");
-  SymbolSets s = SymbolSets::FromDatabase(db);
-  EXPECT_EQ(s.rels, (std::set<std::string>{"R", "S"}));
-  EXPECT_EQ(s.atts, (std::set<std::string>{"A", "B", "C"}));
-  EXPECT_EQ(s.values, (std::set<std::string>{"1"}));  // nulls excluded
+  TargetSymbolIndex index(db);
+  EXPECT_EQ(index.symbols(Column::kRel),
+            (std::vector<std::string>{"R", "S"}));
+  EXPECT_EQ(index.symbols(Column::kAtt),
+            (std::vector<std::string>{"A", "B", "C"}));
+  // Nulls are excluded.
+  EXPECT_EQ(index.symbols(Column::kValue), (std::vector<std::string>{"1"}));
+  EXPECT_TRUE(index.Contains(Column::kAtt, "B"));
+  EXPECT_FALSE(index.Contains(Column::kValue, "B"));
+  EXPECT_FALSE(index.Contains(Column::kRel, "Z"));
+  EXPECT_EQ(index.MissingCount(index.Collect(db)), 0);
+  EXPECT_FALSE(index.AnyAttributeMissing(db));
+  EXPECT_TRUE(index.AnyAttributeMissing(Tdb("relation R (A, B) { }")));
+}
+
+// The std::set definition of h1 and h2 that TargetSymbolIndex replaced,
+// kept as the reference the bitsets are checked against.
+struct ReferenceSymbols {
+  std::set<std::string> rels;
+  std::set<std::string> atts;
+  std::set<std::string> values;
+
+  explicit ReferenceSymbols(const Database& db) {
+    for (const auto& [rname, relp] : db.relations()) {
+      rels.insert(rname);
+      for (const std::string& attr : relp->attributes()) atts.insert(attr);
+      for (const Tuple& t : relp->tuples()) {
+        for (const Value& v : t.values()) {
+          if (!v.is_null()) values.insert(v.atom());
+        }
+      }
+    }
+  }
+};
+
+int ReferenceDifference(const std::set<std::string>& a,
+                        const std::set<std::string>& b) {
+  int n = 0;
+  for (const std::string& s : a) n += b.contains(s) ? 0 : 1;
+  return n;
+}
+
+int ReferenceIntersection(const std::set<std::string>& a,
+                          const std::set<std::string>& b) {
+  int n = 0;
+  for (const std::string& s : a) n += b.contains(s) ? 1 : 0;
+  return n;
+}
+
+int ReferenceH1(const ReferenceSymbols& t, const ReferenceSymbols& x) {
+  return ReferenceDifference(t.rels, x.rels) +
+         ReferenceDifference(t.atts, x.atts) +
+         ReferenceDifference(t.values, x.values);
+}
+
+int ReferenceH2(const ReferenceSymbols& t, const ReferenceSymbols& x) {
+  return ReferenceIntersection(t.rels, x.atts) +
+         ReferenceIntersection(t.rels, x.values) +
+         ReferenceIntersection(t.atts, x.rels) +
+         ReferenceIntersection(t.atts, x.values) +
+         ReferenceIntersection(t.values, x.rels) +
+         ReferenceIntersection(t.values, x.atts);
+}
+
+size_t DistinctSymbols(const Database& db) {
+  ReferenceSymbols s(db);
+  std::set<std::string> all = s.rels;
+  all.insert(s.atts.begin(), s.atts.end());
+  all.insert(s.values.begin(), s.values.end());
+  return all.size();
+}
+
+// Random databases whose relation names, attributes and values all come
+// from one alphabet "s0".."s<n-1>", so a symbol often sits in several TNF
+// columns. Cells are null about a quarter of the time, and some relations
+// have no tuples.
+class SymbolDbGenerator {
+ public:
+  SymbolDbGenerator(uint32_t seed, size_t alphabet)
+      : rng_(seed), alphabet_(alphabet) {}
+
+  std::string Symbol() {
+    std::string symbol = std::to_string(Pick(alphabet_));
+    symbol.insert(symbol.begin(), 's');
+    return symbol;
+  }
+
+  Database Random() {
+    Database db;
+    const size_t relations = Pick(4);  // 0..3
+    for (size_t r = 0; r < relations; ++r) {
+      std::vector<std::string> attrs;
+      const size_t arity = 1 + Pick(4);
+      while (attrs.size() < arity) {
+        std::string a = Symbol();
+        if (std::find(attrs.begin(), attrs.end(), a) == attrs.end()) {
+          attrs.push_back(std::move(a));
+        }
+      }
+      Relation rel = Relation::Create(Symbol(), attrs).value();
+      const size_t rows = Pick(4);  // 0..3
+      for (size_t i = 0; i < rows; ++i) {
+        std::vector<Value> cells;
+        for (size_t j = 0; j < arity; ++j) {
+          cells.push_back(Pick(4) == 0 ? Value::Null() : Value(Symbol()));
+        }
+        EXPECT_TRUE(rel.AddTuple(Tuple(std::move(cells))).ok());
+      }
+      db.PutRelation(std::move(rel));  // a repeated name replaces
+    }
+    return db;
+  }
+
+  // A database of exactly `distinct` distinct symbols, grown one symbol
+  // at a time: a new attribute (existing rows get null), a new null row,
+  // or a value written into a null cell.
+  Database WithDistinct(size_t distinct) {
+    struct Spec {
+      std::string name;
+      std::vector<std::string> attrs;
+      std::vector<std::vector<std::string>> rows;  // "" is null
+    };
+    std::vector<Spec> specs;
+    std::set<std::string> seen;
+    while (specs.size() < 3 && seen.size() < distinct) {
+      std::string name = Symbol();
+      if (std::any_of(specs.begin(), specs.end(),
+                      [&](const Spec& s) { return s.name == name; })) {
+        continue;
+      }
+      seen.insert(name);
+      specs.push_back(Spec{name, {}, {}});
+    }
+    for (int step = 0; seen.size() < distinct && step < 100000; ++step) {
+      Spec& spec = specs[Pick(specs.size())];
+      const std::string sym = Symbol();
+      const size_t kind = spec.attrs.empty() ? 0 : Pick(3);
+      if (kind == 0) {
+        if (std::find(spec.attrs.begin(), spec.attrs.end(), sym) !=
+            spec.attrs.end()) {
+          continue;
+        }
+        spec.attrs.push_back(sym);
+        for (auto& row : spec.rows) row.emplace_back();
+        seen.insert(sym);
+      } else if (kind == 1 && spec.rows.size() < 6) {
+        spec.rows.emplace_back(spec.attrs.size());
+      } else if (!spec.rows.empty()) {
+        auto& row = spec.rows[Pick(spec.rows.size())];
+        std::string& cell = row[Pick(row.size())];
+        if (cell.empty()) {
+          cell = sym;
+          seen.insert(sym);
+        }
+      }
+    }
+    Database db;
+    for (const Spec& spec : specs) {
+      if (spec.attrs.empty()) continue;
+      Relation rel = Relation::Create(spec.name, spec.attrs).value();
+      for (const auto& row : spec.rows) {
+        std::vector<Value> cells;
+        for (const std::string& cell : row) {
+          cells.push_back(cell.empty() ? Value::Null() : Value(cell));
+        }
+        EXPECT_TRUE(rel.AddTuple(Tuple(std::move(cells))).ok());
+      }
+      EXPECT_TRUE(db.AddRelation(std::move(rel)).ok());
+    }
+    return db;
+  }
+
+ private:
+  size_t Pick(size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng_);
+  }
+
+  std::mt19937 rng_;
+  size_t alphabet_;
+};
+
+// Checks H1/H2/H3 and the index against the reference on every state.
+// Returns the number of (target, state) pairs compared.
+int CompareWithReference(const Database& target,
+                         const std::vector<Database>& states) {
+  const ReferenceSymbols t(target);
+  H1Heuristic h1(target);
+  H2Heuristic h2(target);
+  H3Heuristic h3(target);
+  TargetSymbolIndex index(target);
+  EXPECT_EQ(index.symbols(Column::kRel),
+            std::vector<std::string>(t.rels.begin(), t.rels.end()));
+  EXPECT_EQ(index.symbols(Column::kAtt),
+            std::vector<std::string>(t.atts.begin(), t.atts.end()));
+  EXPECT_EQ(index.symbols(Column::kValue),
+            std::vector<std::string>(t.values.begin(), t.values.end()));
+  int compared = 0;
+  for (const Database& state : states) {
+    const ReferenceSymbols x(state);
+    const int want1 = ReferenceH1(t, x);
+    const int want2 = ReferenceH2(t, x);
+    EXPECT_EQ(h1.Estimate(state), want1)
+        << target.ToString() << "\n" << state.ToString();
+    EXPECT_EQ(h2.Estimate(state), want2)
+        << target.ToString() << "\n" << state.ToString();
+    EXPECT_EQ(h3.Estimate(state), std::max(want1, want2));
+    EXPECT_EQ(index.AnyAttributeMissing(state),
+              ReferenceDifference(t.atts, x.atts) > 0);
+    for (const std::string& s : x.rels) {
+      EXPECT_EQ(index.Contains(Column::kAtt, s), t.atts.contains(s));
+      EXPECT_EQ(index.Contains(Column::kValue, s), t.values.contains(s));
+    }
+    for (const std::string& s : x.values) {
+      EXPECT_EQ(index.Contains(Column::kRel, s), t.rels.contains(s));
+    }
+    ++compared;
+  }
+  return compared;
+}
+
+TEST(TargetSymbolIndexTest, MatchesSetReferenceOnRandomPairs) {
+  int compared = 0;
+  // Small targets over a ten-symbol alphabet: heavy cross-column sharing,
+  // empty targets and empty states included.
+  SymbolDbGenerator small(2006, 10);
+  for (int i = 0; i < 150; ++i) {
+    const Database target = small.Random();
+    std::vector<Database> states = {Database(), target};
+    for (int k = 0; k < 4; ++k) states.push_back(small.Random());
+    compared += CompareWithReference(target, states);
+  }
+  // Targets at and around the 64-bit word boundaries. Synthetic n=32 has
+  // 65 distinct symbols.
+  for (size_t distinct : {63, 64, 65, 130}) {
+    SymbolDbGenerator wide(static_cast<uint32_t>(distinct), distinct + 10);
+    const Database target = wide.WithDistinct(distinct);
+    ASSERT_EQ(DistinctSymbols(target), distinct);
+    std::vector<Database> states = {Database(), target};
+    for (int k = 0; k < 60; ++k) states.push_back(wide.Random());
+    for (int k = 0; k < 40; ++k) {
+      states.push_back(wide.WithDistinct(distinct / 2 + k));
+    }
+    compared += CompareWithReference(target, states);
+  }
+  EXPECT_GE(compared, 1000);
 }
 
 TEST(SetBasedTest, H0IsAlwaysZero) {

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "search/a_star.h"
@@ -399,6 +400,46 @@ TEST(BeamTest, IsIncompleteWhenGoalLeavesBeam) {
   // A wider beam keeps the alternative alive.
   auto wide = BeamSearch(p, 2);
   EXPECT_TRUE(wide.found);
+}
+
+// Width-3 beam over ties. The root's six successors all have h 5 and are
+// generated in descending id order, so the cut keeps 60, 50 and 40. At
+// the next level 49 (h 2) leads, and 69, 59 and 58 tie on h 3 across two
+// parents: the cut keeps 69 (parent 60) and then 59, the first successor
+// of parent 50. 39 hangs below the dropped 30.
+GraphProblem TieCutProblem(int goal) {
+  GraphProblem p;
+  p.edges = {{0, {60, 50, 40, 30, 20, 10}},
+             {60, {69}},
+             {50, {59, 58}},
+             {40, {49}},
+             {30, {39}}};
+  for (int s : {60, 50, 40, 30, 20, 10}) p.h[s] = 5;
+  for (int s : {69, 59, 58}) p.h[s] = 3;
+  p.h[49] = 2;
+  p.h[39] = 2;
+  p.goal = goal;
+  return p;
+}
+
+TEST(BeamTest, WidthCutKeepsTiesInGenerationOrder) {
+  ThreadPool pool(4);
+  for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(workers == nullptr ? "no pool" : "4 workers");
+    auto run = [workers](int goal) {
+      return BeamSearch(TieCutProblem(goal), 3, SearchLimits(), {}, workers);
+    };
+    // Below the 3rd and the 4th of the root's tied successors.
+    EXPECT_TRUE(run(49).found);
+    EXPECT_FALSE(run(39).found);
+    // The second level's tie follows (parent, successor) order.
+    EXPECT_TRUE(run(69).found);
+    EXPECT_TRUE(run(59).found);
+    EXPECT_FALSE(run(58).found);
+    const SearchOutcome<int> out = run(59);
+    EXPECT_EQ(out.path, (std::vector<int>{50, 59}));
+    EXPECT_EQ(out.stats.states_examined, 1u + 3u + 3u);
+  }
 }
 
 TEST(BeamTest, ZeroWidthFindsNothing) {

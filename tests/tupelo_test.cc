@@ -4,6 +4,7 @@
 
 #include "core/tupelo.h"
 #include "fira/builtin_functions.h"
+#include "obs/metrics.h"
 #include "relational/io.h"
 #include "workloads/flights.h"
 
@@ -58,6 +59,25 @@ TEST(TupeloTest, DiscoversAcrossAllAlgorithms) {
     EXPECT_EQ(r.stats.solution_cost, 2) << SearchAlgorithmName(algo);
     EXPECT_TRUE(r.verified) << SearchAlgorithmName(algo);
   }
+}
+
+// A beam attempt expands each state at most once, so its rung runs with
+// no Expand cache; IDA* re-expands shallow states and keeps one.
+TEST(TupeloTest, BeamRungsKeepNoExpandCache) {
+  Tupelo system(Tdb("relation S (A, B) { (1, 2) }"),
+                Tdb("relation T (X, B) { (1, 2) }"));
+  auto misses = [&system](SearchAlgorithm algo) {
+    obs::MetricRegistry metrics;
+    TupeloOptions options;
+    options.algorithm = algo;
+    options.metrics = &metrics;
+    TupeloResult r = MustDiscover(system, options);
+    EXPECT_TRUE(r.found) << SearchAlgorithmName(algo);
+    EXPECT_GT(r.stats.states_examined, 1u) << SearchAlgorithmName(algo);
+    return metrics.CounterValue("expand.cache_misses");
+  };
+  EXPECT_EQ(misses(SearchAlgorithm::kBeam), 0u);
+  EXPECT_GT(misses(SearchAlgorithm::kIda), 0u);
 }
 
 TEST(TupeloTest, DiscoversAcrossAllHeuristics) {
