@@ -74,7 +74,6 @@ void MappingProblem::set_metrics(obs::MetricRegistry* metrics) {
   relations_shared_ = &metrics->GetCounter("state.relations_shared");
   tnf_bytes_ = &metrics->GetCounter("state.tnf_bytes");
   tnf_encodes_ = &metrics->GetCounter("state.tnf_encodes");
-  heuristic_->BindMetrics(metrics);
 }
 
 void MappingProblem::EstimateCostBatch(

@@ -21,14 +21,12 @@ bool IsFusable(const Op& op) {
          std::holds_alternative<ProductOp>(op);
 }
 
-// The relation name the op reads when it opens a segment.
-const std::string& SourceRelation(const Op& op) {
-  if (const auto* rr = std::get_if<RenameRelOp>(&op)) return rr->from;
-  if (const auto* r = std::get_if<RenameAttrOp>(&op)) return r->rel;
-  if (const auto* d = std::get_if<DropOp>(&op)) return d->rel;
-  if (const auto* de = std::get_if<DereferenceOp>(&op)) return de->rel;
-  const auto* ap = std::get_if<ApplyFunctionOp>(&op);
-  return ap->rel;
+// The relation a fusable op leaves its result under: × adds "R*S",
+// rename_rel moves its relation to `to`, and the rest rewrite their target.
+std::string ResultRelation(const Op& op) {
+  if (const auto* p = std::get_if<ProductOp>(&op)) return ProductResultName(*p);
+  if (const auto* rr = std::get_if<RenameRelOp>(&op)) return rr->to;
+  return OpTargetRelation(op);
 }
 
 // Mirrors MappingExpression::Apply's error wrapping exactly: the compiled
@@ -130,7 +128,7 @@ Result<Database> ExecuteFused(const PlanSegment& seg, const Database& input,
         names.insert(names.end(), rattrs.begin(), rattrs.end());
         cur_name = ProductResultName(*p);
       } else {
-        const std::string& src = SourceRelation(op);
+        const std::string& src = OpTargetRelation(op);
         TUPELO_ASSIGN_OR_RETURN(loop.left, input.GetRelation(src));
         loop.source_name = src;
         names = loop.left->attributes();
@@ -297,47 +295,25 @@ CompiledPlan CompileExpression(const MappingExpression& expression) {
   for (size_t i = 0; i < steps.size(); ++i) {
     const Op& op = steps[i];
 
-    if (cur != nullptr) {
-      bool extended = false;
-      if (const auto* r = std::get_if<RenameAttrOp>(&op)) {
-        extended = r->rel == cur_rel;
-      } else if (const auto* d = std::get_if<DropOp>(&op)) {
-        extended = d->rel == cur_rel;
-      } else if (const auto* de = std::get_if<DereferenceOp>(&op)) {
-        extended = de->rel == cur_rel;
-      } else if (const auto* ap = std::get_if<ApplyFunctionOp>(&op)) {
-        extended = ap->rel == cur_rel;
-      } else if (const auto* rr = std::get_if<RenameRelOp>(&op)) {
-        if (rr->from == cur_rel) {
-          extended = true;
-          cur_rel = rr->to;
-        }
-      }
-      if (extended) {
-        cur->ops.push_back(op);
-        ++plan.fused_ops;
-        continue;
-      }
+    if (!IsFusable(op)) {
       cur = nullptr;
-    }
-
-    if (IsFusable(op)) {
-      plan.segments.push_back(
-          PlanSegment{PlanSegment::Kind::kFused, i, {op}});
-      cur = &plan.segments.back();
-      if (const auto* p = std::get_if<ProductOp>(&op)) {
-        cur_rel = ProductResultName(*p);
-      } else if (const auto* rr = std::get_if<RenameRelOp>(&op)) {
-        cur_rel = rr->to;
-      } else {
-        cur_rel = SourceRelation(op);
-      }
-      ++plan.fused_ops;
-    } else {
       plan.segments.push_back(
           PlanSegment{PlanSegment::Kind::kInterpret, i, {op}});
       ++plan.interpreted_ops;
+      continue;
     }
+    // A × only opens a segment; every other fusable op extends the open
+    // one when it addresses the relation that segment is threading.
+    if (cur != nullptr && !std::holds_alternative<ProductOp>(op) &&
+        OpTargetRelation(op) == cur_rel) {
+      cur->ops.push_back(op);
+    } else {
+      plan.segments.push_back(
+          PlanSegment{PlanSegment::Kind::kFused, i, {op}});
+      cur = &plan.segments.back();
+    }
+    cur_rel = ResultRelation(op);
+    ++plan.fused_ops;
   }
   return plan;
 }

@@ -7,6 +7,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -436,27 +437,30 @@ struct OpApplier {
   }
 };
 
-// Trace-event names must be stable pointers (the session records the
-// pointer, not a copy), so per-operator span names come from this literal
-// table rather than OpName's std::string.
-const char* OpTraceName(const Op& op) {
-  struct Namer {
-    const char* operator()(const DereferenceOp&) const {
-      return "op.dereference";
-    }
-    const char* operator()(const PromoteOp&) const { return "op.promote"; }
-    const char* operator()(const DemoteOp&) const { return "op.demote"; }
-    const char* operator()(const PartitionOp&) const { return "op.partition"; }
-    const char* operator()(const ProductOp&) const { return "op.product"; }
-    const char* operator()(const DropOp&) const { return "op.drop"; }
-    const char* operator()(const MergeOp&) const { return "op.merge"; }
-    const char* operator()(const RenameAttrOp&) const {
-      return "op.rename_att";
-    }
-    const char* operator()(const RenameRelOp&) const { return "op.rename_rel"; }
-    const char* operator()(const ApplyFunctionOp&) const { return "op.apply"; }
-  };
-  return std::visit(Namer{}, op);
+// An operator's instrument names, built once per operator type from its
+// kName. They are never freed: a trace session records the span-name
+// pointer, not a copy.
+struct InstrumentNames {
+  std::string span;      // op.<name>
+  std::string count;     // executor.<name>.count
+  std::string nanos;     // executor.<name>.nanos
+  std::string failures;  // executor.<name>.failures
+};
+
+const InstrumentNames& NamesOf(const Op& op) {
+  return std::visit(
+      [](const auto& o) -> const InstrumentNames& {
+        // One static per instantiation, i.e. per operator type.
+        static const InstrumentNames* const names = [] {
+          const std::string name(std::decay_t<decltype(o)>::kName);
+          const std::string metric = "executor." + name;
+          return new InstrumentNames{"op." + name, metric + ".count",
+                                     metric + ".nanos",
+                                     metric + ".failures"};
+        }();
+        return *names;
+      },
+      op);
 }
 
 }  // namespace
@@ -469,10 +473,10 @@ Result<Database> ApplyOp(const Op& op, const Database& input,
     FaultInjector::Fault fault;
     if (injector->ShouldFail(OpName(op), &fault)) {
       if (metrics != nullptr) {
-        const std::string name = OpName(op);
-        metrics->GetCounter("executor." + name + ".count").Increment();
+        const InstrumentNames& names = NamesOf(op);
+        metrics->GetCounter(names.count).Increment();
         if (fault.kind != FaultInjector::Kind::kDelay) {
-          metrics->GetCounter("executor." + name + ".failures").Increment();
+          metrics->GetCounter(names.failures).Increment();
         }
       }
       if (trace != nullptr) {
@@ -505,22 +509,17 @@ Result<Database> ApplyOp(const Op& op, const Database& input,
   if (metrics == nullptr && trace == nullptr) {
     return std::visit(OpApplier{input, registry}, op);
   }
-  std::string name;
-  if (metrics != nullptr) {
-    name = OpName(op);
-    metrics->GetCounter("executor." + name + ".count").Increment();
-  }
+  const InstrumentNames& names = NamesOf(op);
+  if (metrics != nullptr) metrics->GetCounter(names.count).Increment();
   Result<Database> result = [&] {
-    obs::ScopedTimer timer(metrics != nullptr
-                               ? &metrics->GetCounter("executor." + name +
-                                                      ".nanos")
-                               : nullptr);
+    obs::ScopedTimer timer(
+        metrics != nullptr ? &metrics->GetCounter(names.nanos) : nullptr);
     obs::TraceSpan span(trace, obs::TraceCategory::kExecutor,
-                        OpTraceName(op));
+                        names.span.c_str());
     return std::visit(OpApplier{input, registry}, op);
   }();
   if (!result.ok() && metrics != nullptr) {
-    metrics->GetCounter("executor." + name + ".failures").Increment();
+    metrics->GetCounter(names.failures).Increment();
   }
   return result;
 }

@@ -22,7 +22,8 @@ bool BareOk(const std::string& s) {
 
 std::string Atom(const std::string& s) { return BareOk(s) ? s : Quote(s); }
 
-std::string List(const std::vector<std::string>& names) {
+// A list argument (λ's inputs): `[a, b]`.
+std::string Atom(const std::vector<std::string>& names) {
   std::string out = "[";
   for (size_t i = 0; i < names.size(); ++i) {
     if (i > 0) out += ", ";
@@ -31,43 +32,6 @@ std::string List(const std::vector<std::string>& names) {
   out += "]";
   return out;
 }
-
-struct ScriptPrinter {
-  std::string operator()(const DereferenceOp& op) const {
-    return "dereference(" + Atom(op.rel) + ", " + Atom(op.pointer) + ", " +
-           Atom(op.out) + ")";
-  }
-  std::string operator()(const PromoteOp& op) const {
-    return "promote(" + Atom(op.rel) + ", " + Atom(op.name_attr) + ", " +
-           Atom(op.value_attr) + ")";
-  }
-  std::string operator()(const DemoteOp& op) const {
-    return "demote(" + Atom(op.rel) + ")";
-  }
-  std::string operator()(const PartitionOp& op) const {
-    return "partition(" + Atom(op.rel) + ", " + Atom(op.attr) + ")";
-  }
-  std::string operator()(const ProductOp& op) const {
-    return "product(" + Atom(op.left) + ", " + Atom(op.right) + ")";
-  }
-  std::string operator()(const DropOp& op) const {
-    return "drop(" + Atom(op.rel) + ", " + Atom(op.attr) + ")";
-  }
-  std::string operator()(const MergeOp& op) const {
-    return "merge(" + Atom(op.rel) + ", " + Atom(op.attr) + ")";
-  }
-  std::string operator()(const RenameAttrOp& op) const {
-    return "rename_att(" + Atom(op.rel) + ", " + Atom(op.from) + ", " +
-           Atom(op.to) + ")";
-  }
-  std::string operator()(const RenameRelOp& op) const {
-    return "rename_rel(" + Atom(op.from) + ", " + Atom(op.to) + ")";
-  }
-  std::string operator()(const ApplyFunctionOp& op) const {
-    return "apply(" + Atom(op.rel) + ", " + Atom(op.function) + ", " +
-           List(op.inputs) + ", " + Atom(op.out) + ")";
-  }
-};
 
 struct PrettyPrinter {
   std::string operator()(const DereferenceOp& op) const {
@@ -108,50 +72,37 @@ struct PrettyPrinter {
   }
 };
 
-struct NameGetter {
-  std::string operator()(const DereferenceOp&) const { return "dereference"; }
-  std::string operator()(const PromoteOp&) const { return "promote"; }
-  std::string operator()(const DemoteOp&) const { return "demote"; }
-  std::string operator()(const PartitionOp&) const { return "partition"; }
-  std::string operator()(const ProductOp&) const { return "product"; }
-  std::string operator()(const DropOp&) const { return "drop"; }
-  std::string operator()(const MergeOp&) const { return "merge"; }
-  std::string operator()(const RenameAttrOp&) const { return "rename_att"; }
-  std::string operator()(const RenameRelOp&) const { return "rename_rel"; }
-  std::string operator()(const ApplyFunctionOp&) const { return "apply"; }
-};
-
-struct TargetGetter {
-  const std::string& operator()(const DereferenceOp& op) const {
-    return op.rel;
-  }
-  const std::string& operator()(const PromoteOp& op) const { return op.rel; }
-  const std::string& operator()(const DemoteOp& op) const { return op.rel; }
-  const std::string& operator()(const PartitionOp& op) const { return op.rel; }
-  const std::string& operator()(const ProductOp& op) const { return op.left; }
-  const std::string& operator()(const DropOp& op) const { return op.rel; }
-  const std::string& operator()(const MergeOp& op) const { return op.rel; }
-  const std::string& operator()(const RenameAttrOp& op) const {
-    return op.rel;
-  }
-  const std::string& operator()(const RenameRelOp& op) const {
-    return op.from;
-  }
-  const std::string& operator()(const ApplyFunctionOp& op) const {
-    return op.rel;
-  }
-};
-
 }  // namespace
 
-std::string OpToScript(const Op& op) { return std::visit(ScriptPrinter{}, op); }
+std::string OpToScript(const Op& op) {
+  return std::visit(
+      [](const auto& o) {
+        std::string out(o.kName);
+        out += '(';
+        std::apply(
+            [&out](const auto&... args) {
+              const char* sep = "";
+              ((out += sep, out += Atom(args), sep = ", "), ...);
+            },
+            o.Fields());
+        out += ')';
+        return out;
+      },
+      op);
+}
 
 std::string OpToPretty(const Op& op) { return std::visit(PrettyPrinter{}, op); }
 
-std::string OpName(const Op& op) { return std::visit(NameGetter{}, op); }
+std::string_view OpName(const Op& op) {
+  return std::visit([](const auto& o) { return o.kName; }, op);
+}
 
 const std::string& OpTargetRelation(const Op& op) {
-  return std::visit(TargetGetter{}, op);
+  return std::visit(
+      [](const auto& o) -> const std::string& {
+        return std::get<0>(o.Fields());
+      },
+      op);
 }
 
 std::string ProductResultName(const ProductOp& op) {

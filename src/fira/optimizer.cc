@@ -97,65 +97,6 @@ bool RewriteOnce(std::vector<Op>* steps) {
   return false;
 }
 
-// Mirror of RewriteOnce's match conditions, without applying them: the
-// name of the first rule that would fire on some adjacent pair, or
-// nullptr when the expression is at the fixpoint. Keep in sync with
-// RewriteOnce above.
-const char* FirstApplicableRule(const std::vector<Op>& s) {
-  for (size_t i = 0; i + 1 < s.size(); ++i) {
-    const Op& a = s[i];
-    const Op& b = s[i + 1];
-
-    if (const auto* r1 = std::get_if<RenameAttrOp>(&a)) {
-      if (const auto* r2 = std::get_if<RenameAttrOp>(&b)) {
-        if (r1->rel == r2->rel && r1->to == r2->from) {
-          return r1->from == r2->to ? "rename-att-round-trip"
-                                    : "rename-att-chain-fusion";
-        }
-      }
-      if (const auto* d = std::get_if<DropOp>(&b)) {
-        if (r1->rel == d->rel && r1->to == d->attr) {
-          return "rename-then-drop";
-        }
-      }
-    }
-
-    if (const auto* r1 = std::get_if<RenameRelOp>(&a)) {
-      if (const auto* r2 = std::get_if<RenameRelOp>(&b)) {
-        if (r1->to == r2->from) {
-          return r1->from == r2->to ? "rename-rel-round-trip"
-                                    : "rename-rel-chain-fusion";
-        }
-      }
-    }
-
-    if (const auto* d = std::get_if<DropOp>(&b)) {
-      const std::string* created = nullptr;
-      const std::string* created_rel = nullptr;
-      if (const auto* ap = std::get_if<ApplyFunctionOp>(&a)) {
-        created = &ap->out;
-        created_rel = &ap->rel;
-      } else if (const auto* de = std::get_if<DereferenceOp>(&a)) {
-        created = &de->out;
-        created_rel = &de->rel;
-      }
-      if (created != nullptr && *created_rel == d->rel &&
-          *created == d->attr) {
-        return "create-then-drop";
-      }
-    }
-
-    if (const auto* d1 = std::get_if<DropOp>(&a)) {
-      if (const auto* d2 = std::get_if<DropOp>(&b)) {
-        if (d1->rel == d2->rel && d2->attr < d1->attr) {
-          return "drop-canonicalization";
-        }
-      }
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 MappingExpression Simplify(const MappingExpression& expression) {
@@ -163,17 +104,6 @@ MappingExpression Simplify(const MappingExpression& expression) {
   while (RewriteOnce(&steps)) {
   }
   return MappingExpression(std::move(steps));
-}
-
-Result<MappingExpression> Optimize(const MappingExpression& expression) {
-  if (const char* rule = FirstApplicableRule(expression.steps())) {
-    return Status::FailedPrecondition(
-        std::string("optimize: not equivalence-preserving: rule '") + rule +
-        "' preserves success behavior but can change failure outcomes of "
-        "the original expression; use Simplify for the one-sided "
-        "guarantee");
-  }
-  return expression;
 }
 
 }  // namespace tupelo

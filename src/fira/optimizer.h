@@ -1,7 +1,6 @@
 #ifndef TUPELO_FIRA_OPTIMIZER_H_
 #define TUPELO_FIRA_OPTIMIZER_H_
 
-#include "common/result.h"
 #include "fira/expression.h"
 
 namespace tupelo {
@@ -29,23 +28,8 @@ namespace tupelo {
 // freshness requirement, and even reordering two drops can turn a
 // NotFound into a last-column FailedPrecondition. Callers that need the
 // original's failure behavior must keep the original expression (search
-// does: SafeReplay verifies candidates before Simplify touches them) or
-// go through Optimize below.
+// does: SafeReplay verifies candidates before Simplify touches them).
 MappingExpression Simplify(const MappingExpression& expression);
-
-// Failure-exact optimization. Unlike Simplify, the contract here is full
-// outcome equivalence: for every instance, the returned expression yields
-// the identical Result<Database> — same database on success, same typed
-// error on failure. No rule in the current adjacent-pair catalogue meets
-// that bar (each one weakens or reorders a validation the interpreter
-// performs), so Optimize performs no rewrites: it either certifies that
-// the expression is already at the simplification fixpoint (returned
-// unchanged, trivially equivalent) or refuses with a typed
-// FailedPrecondition whose message starts with
-// "optimize: not equivalence-preserving" and names the rule that would
-// have fired. The differential harness locks this in: on instances where
-// Simplify's output diverges from the original, Optimize refuses.
-Result<MappingExpression> Optimize(const MappingExpression& expression);
 
 }  // namespace tupelo
 

@@ -1,9 +1,10 @@
 #include "fira/parser.h"
 
 #include <cctype>
-#include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace tupelo {
@@ -157,6 +158,8 @@ class ExprParser {
   }
 
   Result<Op> ParseOneOp() {
+    SkipSpace();
+    const std::string at_line = " at line " + std::to_string(line_);
     TUPELO_ASSIGN_OR_RETURN(std::string opname, ParseName());
     TUPELO_RETURN_IF_ERROR(ExpectChar('('));
     std::vector<Arg> args;
@@ -172,72 +175,50 @@ class ExprParser {
       }
     }
     TUPELO_RETURN_IF_ERROR(ExpectChar(')'));
-    return BuildOp(opname, args);
+    return BuildOp(opname, args, at_line);
   }
 
-  static Result<Op> BuildOp(const std::string& opname,
-                            const std::vector<Arg>& args) {
-    auto want_names = [&](size_t n) -> Status {
-      if (args.size() != n) {
-        return Status::ParseError(opname + " expects " + std::to_string(n) +
-                                  " arguments, got " +
-                                  std::to_string(args.size()));
-      }
-      for (const Arg& a : args) {
-        if (a.is_list) {
-          return Status::ParseError(opname +
-                                    " does not take a list argument");
-        }
-      }
-      return Status::OK();
-    };
+  // Moves `arg` into `field` when the two have the same shape.
+  static bool Assign(Arg& arg, std::string& field) {
+    if (arg.is_list) return false;
+    field = std::move(arg.name);
+    return true;
+  }
+  static bool Assign(Arg& arg, std::vector<std::string>& field) {
+    if (!arg.is_list) return false;
+    field = std::move(arg.names);
+    return true;
+  }
 
-    if (opname == "dereference") {
-      TUPELO_RETURN_IF_ERROR(want_names(3));
-      return Op(DereferenceOp{args[0].name, args[1].name, args[2].name});
-    }
-    if (opname == "promote") {
-      TUPELO_RETURN_IF_ERROR(want_names(3));
-      return Op(PromoteOp{args[0].name, args[1].name, args[2].name});
-    }
-    if (opname == "demote") {
-      TUPELO_RETURN_IF_ERROR(want_names(1));
-      return Op(DemoteOp{args[0].name});
-    }
-    if (opname == "partition") {
-      TUPELO_RETURN_IF_ERROR(want_names(2));
-      return Op(PartitionOp{args[0].name, args[1].name});
-    }
-    if (opname == "product") {
-      TUPELO_RETURN_IF_ERROR(want_names(2));
-      return Op(ProductOp{args[0].name, args[1].name});
-    }
-    if (opname == "drop") {
-      TUPELO_RETURN_IF_ERROR(want_names(2));
-      return Op(DropOp{args[0].name, args[1].name});
-    }
-    if (opname == "merge") {
-      TUPELO_RETURN_IF_ERROR(want_names(2));
-      return Op(MergeOp{args[0].name, args[1].name});
-    }
-    if (opname == "rename_att") {
-      TUPELO_RETURN_IF_ERROR(want_names(3));
-      return Op(RenameAttrOp{args[0].name, args[1].name, args[2].name});
-    }
-    if (opname == "rename_rel") {
-      TUPELO_RETURN_IF_ERROR(want_names(2));
-      return Op(RenameRelOp{args[0].name, args[1].name});
-    }
-    if (opname == "apply") {
-      if (args.size() != 4 || args[0].is_list || args[1].is_list ||
-          !args[2].is_list || args[3].is_list) {
-        return Status::ParseError(
-            "apply expects (R, function, [inputs...], out)");
+  // Builds the Op alternative whose kName is `opname`, matching `args`
+  // against its Fields() in order. Errors end with `at_line`.
+  template <size_t I = 0>
+  static Result<Op> BuildOp(const std::string& opname, std::vector<Arg>& args,
+                            const std::string& at_line) {
+    if constexpr (I == std::variant_size_v<Op>) {
+      return Status::ParseError("unknown operator '" + opname + "'" +
+                                at_line);
+    } else {
+      using T = std::variant_alternative_t<I, Op>;
+      if (opname != T::kName) return BuildOp<I + 1>(opname, args, at_line);
+      T op;
+      constexpr size_t kArity = std::tuple_size_v<decltype(op.Fields())>;
+      if (args.size() != kArity) {
+        return Status::ParseError(opname + " expects " +
+                                  std::to_string(kArity) + " arguments, got " +
+                                  std::to_string(args.size()) + at_line);
       }
-      return Op(ApplyFunctionOp{args[0].name, args[1].name, args[2].names,
-                                args[3].name});
+      size_t i = 0;
+      const bool shapes_match = std::apply(
+          [&](auto&... fields) { return (Assign(args[i++], fields) && ...); },
+          op.Fields());
+      if (!shapes_match) {
+        return Status::ParseError(
+            opname + " expects a " + (args[i - 1].is_list ? "name" : "[list]") +
+            " as argument " + std::to_string(i) + at_line);
+      }
+      return Op(std::move(op));
     }
-    return Status::ParseError("unknown operator '" + opname + "'");
   }
 
   std::string_view text_;

@@ -6,10 +6,6 @@
 
 #include "relational/database.h"
 
-namespace tupelo::obs {
-class MetricRegistry;
-}  // namespace tupelo::obs
-
 namespace tupelo {
 
 // A search heuristic h(x): an estimate of the number of transformation
@@ -36,11 +32,6 @@ class Heuristic {
 
   // Stable display name ("h1", "cosine", ...).
   virtual std::string_view name() const = 0;
-
-  // Hook for implementations that keep internal counters (caches,
-  // kernels) to publish them. Called by the owning problem when metrics
-  // are enabled; default is a no-op. `registry` is never null.
-  virtual void BindMetrics(obs::MetricRegistry* /*registry*/) {}
 };
 
 }  // namespace tupelo

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
-
-#include "obs/metrics.h"
+#include <string>
 
 namespace tupelo {
 namespace {
@@ -16,52 +14,13 @@ int RoundToInt(double v) { return static_cast<int>(std::llround(v)); }
 LevenshteinHeuristic::LevenshteinHeuristic(const Database& target, double k)
     : target_pattern_(DatabaseToTnfString(target)), k_(k) {}
 
-std::shared_ptr<const std::string> LevenshteinHeuristic::TnfString(
-    const Database& state) const {
-  const Fp128 fp = state.Fingerprint128();
-  {
-    std::lock_guard<std::mutex> lock(tnf_mutex_);
-    auto it = tnf_cache_.find(fp);
-    if (it != tnf_cache_.end()) {
-      tnf_lru_.splice(tnf_lru_.begin(), tnf_lru_, it->second.second);
-      tnf_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (tnf_hits_counter_ != nullptr) tnf_hits_counter_->Increment();
-      return it->second.first;
-    }
-  }
-  // Encode outside the lock; losing a concurrent race for the same state
-  // just encodes twice, which the counters record honestly as two misses.
-  auto s = std::make_shared<const std::string>(DatabaseToTnfString(state));
-  {
-    std::lock_guard<std::mutex> lock(tnf_mutex_);
-    tnf_misses_.fetch_add(1, std::memory_order_relaxed);
-    if (tnf_misses_counter_ != nullptr) tnf_misses_counter_->Increment();
-    auto [it, inserted] = tnf_cache_.try_emplace(fp);
-    if (inserted) {
-      tnf_lru_.push_front(fp);
-      it->second = {s, tnf_lru_.begin()};
-      if (tnf_cache_.size() > kTnfCacheCapacity) {
-        tnf_cache_.erase(tnf_lru_.back());
-        tnf_lru_.pop_back();
-      }
-    }
-  }
-  return s;
-}
-
 int LevenshteinHeuristic::Estimate(const Database& state) const {
-  std::shared_ptr<const std::string> s = TnfString(state);
-  size_t longest = std::max(s->size(), target_pattern_.pattern().size());
+  const std::string s = DatabaseToTnfString(state);
+  size_t longest = std::max(s.size(), target_pattern_.pattern().size());
   if (longest == 0) return 0;
-  double normalized = static_cast<double>(target_pattern_.Distance(*s)) /
+  double normalized = static_cast<double>(target_pattern_.Distance(s)) /
                       static_cast<double>(longest);
   return RoundToInt(k_ * normalized);
-}
-
-void LevenshteinHeuristic::BindMetrics(obs::MetricRegistry* registry) {
-  tnf_hits_counter_ = &registry->GetCounter("heuristic.levenshtein.tnf_hits");
-  tnf_misses_counter_ =
-      &registry->GetCounter("heuristic.levenshtein.tnf_misses");
 }
 
 EuclideanHeuristic::EuclideanHeuristic(const Database& target)

@@ -1,22 +1,11 @@
 #ifndef TUPELO_HEURISTICS_VECTOR_HEURISTICS_H_
 #define TUPELO_HEURISTICS_VECTOR_HEURISTICS_H_
 
-#include <atomic>
-#include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
+#include <string_view>
 
-#include "common/hash.h"
 #include "common/simd/edit_distance.h"
 #include "heuristics/heuristic.h"
 #include "heuristics/term_vector.h"
-
-namespace tupelo::obs {
-class Counter;
-}  // namespace tupelo::obs
 
 namespace tupelo {
 
@@ -25,47 +14,18 @@ namespace tupelo {
 // of the databases. k ≥ 1 scales [0,1] to [0,k].
 //
 // The target string never changes, so its Myers match masks are
-// precomputed once (simd::PreparedPattern). State TNF strings are
-// memoized in a small LRU keyed by the state's Fp128 fingerprint:
-// duplicate states reach the heuristic through different search paths
-// and per-state caches shard-miss under parallel beam, so re-encoding is
-// common enough to be worth a lock. Hit/miss counts surface as
-// heuristic.levenshtein.tnf_hits / tnf_misses via BindMetrics.
+// precomputed once (simd::PreparedPattern). A state's string is encoded
+// afresh on each call: MappingProblem already caches h per state
+// fingerprint, so a repeated state rarely reaches this class.
 class LevenshteinHeuristic : public Heuristic {
  public:
   LevenshteinHeuristic(const Database& target, double k);
   int Estimate(const Database& state) const override;
   std::string_view name() const override { return "levenshtein"; }
-  void BindMetrics(obs::MetricRegistry* registry) override;
-
-  uint64_t tnf_cache_hits() const {
-    return tnf_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t tnf_cache_misses() const {
-    return tnf_misses_.load(std::memory_order_relaxed);
-  }
 
  private:
-  // Fetch the TNF string of `state` through the memo.
-  std::shared_ptr<const std::string> TnfString(const Database& state) const;
-
   simd::PreparedPattern target_pattern_;
   double k_;
-
-  // LRU memo: fingerprint -> TNF string. shared_ptr values let a hit be
-  // used outside the lock even if an insert evicts the entry meanwhile.
-  static constexpr size_t kTnfCacheCapacity = 64;
-  mutable std::mutex tnf_mutex_;
-  mutable std::list<Fp128> tnf_lru_;  // front = most recent
-  mutable std::unordered_map<
-      Fp128,
-      std::pair<std::shared_ptr<const std::string>, std::list<Fp128>::iterator>,
-      Fp128Hash>
-      tnf_cache_;
-  mutable std::atomic<uint64_t> tnf_hits_{0};
-  mutable std::atomic<uint64_t> tnf_misses_{0};
-  obs::Counter* tnf_hits_counter_ = nullptr;
-  obs::Counter* tnf_misses_counter_ = nullptr;
 };
 
 // hE(x) = round(√Σ(x_i − t_i)²): plain Euclidean distance in term-vector

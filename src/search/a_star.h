@@ -157,7 +157,7 @@ SearchOutcome<typename P::Action> AStarSearch(
       return outcome;
     }
     ++outcome.stats.states_examined;
-    instr.OnVisit(node->key.lo);
+    instr.OnVisit();
     int h = static_cast<int>(entry.f - node->g);
     if (outcome.best_h < 0 || h < outcome.best_h) {
       outcome.best_h = h;

@@ -256,7 +256,7 @@ SearchOutcome<typename P::Action> BeamSearch(
         return outcome;
       }
       ++outcome.stats.states_examined;
-      instr.OnVisit(problem.StateKey(node.state));
+      instr.OnVisit();
       if (outcome.best_h < 0 || node.h < outcome.best_h) {
         outcome.best_h = static_cast<int>(node.h);
         outcome.best_path = node.path;

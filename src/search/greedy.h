@@ -141,7 +141,7 @@ SearchOutcome<typename P::Action> GreedySearch(
       return outcome;
     }
     ++outcome.stats.states_examined;
-    instr.OnVisit(problem.StateKey(node->state));
+    instr.OnVisit();
     if (outcome.best_h < 0 || entry.h < outcome.best_h) {
       outcome.best_h = static_cast<int>(entry.h);
       best_node = node;

@@ -78,7 +78,7 @@ SearchOutcome<typename P::Action> IdaStarSearch(
       ++out.stats.states_examined;
       out.stats.peak_memory_nodes =
           std::max(out.stats.peak_memory_nodes, memory_nodes);
-      instr.OnVisit(problem.StateKey(state));
+      instr.OnVisit();
       instr.OnPeakMemory(memory_nodes);
 
       int64_t f = g + problem.EstimateCost(state);

@@ -2,7 +2,6 @@
 #define TUPELO_SEARCH_INSTRUMENTATION_H_
 
 #include <cstdint>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 
@@ -17,9 +16,6 @@ namespace tupelo {
 //   search.states_examined   counter, mirrors SearchStats::states_examined
 //   search.states_generated  counter, successors produced by Expand
 //   search.expansions        counter, calls to Problem::Expand
-//   search.re_expansions     counter, visits of a state key seen earlier in
-//                            this search (IDA* re-iterations, RBFS
-//                            re-descents, A* re-openings)
 //   search.duplicate_hits    counter, successors skipped by cycle/closed/
 //                            best-g checks
 //   search.iterations        counter, completed IDA* iterations
@@ -33,7 +29,6 @@ class SearchInstrumentation {
     examined_ = &registry->GetCounter("search.states_examined");
     generated_ = &registry->GetCounter("search.states_generated");
     expansions_ = &registry->GetCounter("search.expansions");
-    re_expansions_ = &registry->GetCounter("search.re_expansions");
     duplicate_hits_ = &registry->GetCounter("search.duplicate_hits");
     iterations_ = &registry->GetCounter("search.iterations");
     f_bound_ = &registry->GetHistogram("search.f_bound",
@@ -43,14 +38,9 @@ class SearchInstrumentation {
 
   bool enabled() const { return enabled_; }
 
-  // A state was examined. Tracks the set of visited keys (only when
-  // enabled) to attribute repeat visits to search.re_expansions.
-  void OnVisit(uint64_t state_key) {
-    if (!enabled_) return;
-    examined_->Increment();
-    if (!visited_keys_.insert(state_key).second) {
-      re_expansions_->Increment();
-    }
+  // A state was examined.
+  void OnVisit() {
+    if (enabled_) examined_->Increment();
   }
 
   // Problem::Expand returned `generated` successors.
@@ -81,12 +71,10 @@ class SearchInstrumentation {
   obs::Counter* examined_ = nullptr;
   obs::Counter* generated_ = nullptr;
   obs::Counter* expansions_ = nullptr;
-  obs::Counter* re_expansions_ = nullptr;
   obs::Counter* duplicate_hits_ = nullptr;
   obs::Counter* iterations_ = nullptr;
   obs::Histogram* f_bound_ = nullptr;
   obs::Gauge* peak_memory_ = nullptr;
-  std::unordered_set<uint64_t> visited_keys_;
 };
 
 }  // namespace tupelo

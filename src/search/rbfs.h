@@ -89,7 +89,7 @@ SearchOutcome<typename P::Action> RbfsSearch(
       ++out.stats.states_examined;
       out.stats.peak_memory_nodes =
           std::max(out.stats.peak_memory_nodes, memory_nodes);
-      instr.OnVisit(problem.StateKey(state));
+      instr.OnVisit();
       instr.OnPeakMemory(memory_nodes);
       if (int h = static_cast<int>(static_f - g);
           out.best_h < 0 || h < out.best_h) {

@@ -11,9 +11,6 @@
 //   simplify+interpreter   Simplify(expr).Apply — one-sided contract,
 //                          checked only on instances where the original
 //                          succeeds
-//   optimize+interpreter   Optimize(expr) — exact contract: when it
-//                          returns an expression, every instance yields
-//                          the identical Result
 //
 // "Agree" is exact Result<Database> equality: ok-ness, the database's
 // printed form (relation set, attribute order, tuple order, values) on
@@ -78,18 +75,6 @@ inline std::string CheckExpression(const MappingExpression& expr,
       return "compiled executor diverged on simplified form\n  expr: " +
              simplified.ToScript() + "\n  interpreter: " + want +
              "\n  compiled:    " + simp_compiled;
-    }
-  }
-
-  // Optimize: exact contract whenever it returns an expression (today:
-  // only at the simplification fixpoint, where it returns the input).
-  Result<MappingExpression> optimized = Optimize(expr);
-  if (optimized.ok()) {
-    const std::string opt =
-        OutcomeString(optimized->Apply(input, registry));
-    if (opt != want) {
-      return "optimize leg not failure-exact\n  expr: " + expr.ToScript() +
-             "\n  original:  " + want + "\n  optimized: " + opt;
     }
   }
   return "";

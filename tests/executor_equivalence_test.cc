@@ -339,11 +339,11 @@ TEST(ExecutorEquivalenceTest, InjectedFaultFiresAtSameStepOnBothPaths) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimizer satellite: Simplify stays one-sided, Optimize is exact or
-// refuses with the typed error
+// Simplify is one-sided: it may change the outcome only where the original
+// fails
 // ---------------------------------------------------------------------------
 
-TEST(OptimizeEquivalenceTest, RefusesInexactRenameFusion) {
+TEST(OptimizeEquivalenceTest, RenameFusionDivergesWhereOriginalFails) {
   // The divergence documented in optimizer.h: A→B→C fused to A→C drops
   // the intermediate freshness requirement on B. Where B already exists,
   // the original fails but the fused form succeeds.
@@ -351,28 +351,15 @@ TEST(OptimizeEquivalenceTest, RefusesInexactRenameFusion) {
       RenameAttrOp{"R", "A", "Tmp"},
       RenameAttrOp{"R", "Tmp", "C"},
   });
-
-  // Simplify fuses to rename_att(R, A, C); on THIS db both succeed, so
-  // the one-sided guarantee holds...
   MappingExpression simplified = Simplify(expr);
   ASSERT_EQ(simplified.steps().size(), 1u);
 
-  // ...but on a db where "Tmp" already exists, the original fails while
-  // the simplified form succeeds — the documented divergence.
   Database colliding = Tdb("relation R (A, B, Tmp) { (1, 2, 3) }");
   EXPECT_FALSE(expr.Apply(colliding).ok());
   EXPECT_TRUE(simplified.Apply(colliding).ok());
-
-  // Optimize must therefore refuse the rewrite with the typed error.
-  Result<MappingExpression> optimized = Optimize(expr);
-  ASSERT_FALSE(optimized.ok());
-  EXPECT_EQ(optimized.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(optimized.status().message().find(
-                "optimize: not equivalence-preserving"),
-            0u);
 }
 
-TEST(OptimizeEquivalenceTest, RefusesDropReordering) {
+TEST(OptimizeEquivalenceTest, DropReorderingChangesFailureCode) {
   // Even reordering two drops changes failure outcomes: with X missing
   // and the relation at arity 2, drop(X);drop(A) fails NotFound while
   // drop(A);drop(X) fails FailedPrecondition (last column).
@@ -385,15 +372,12 @@ TEST(OptimizeEquivalenceTest, RefusesDropReordering) {
       DropOp{"R", "A"},
       DropOp{"R", "X"},
   });
+  EXPECT_EQ(Simplify(original), reordered);
   Result<Database> a = original.Apply(db);
   Result<Database> b = reordered.Apply(db);
   ASSERT_FALSE(a.ok());
   ASSERT_FALSE(b.ok());
   EXPECT_NE(a.status().code(), b.status().code());
-
-  Result<MappingExpression> optimized = Optimize(original);
-  ASSERT_FALSE(optimized.ok());
-  EXPECT_EQ(optimized.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(OptimizeEquivalenceTest, ReturnsFixpointExpressionsUnchanged) {
@@ -403,9 +387,6 @@ TEST(OptimizeEquivalenceTest, ReturnsFixpointExpressionsUnchanged) {
       PromoteOp{"R", "X", "C"},
   });
   EXPECT_EQ(Simplify(expr), expr);  // already at the fixpoint
-  Result<MappingExpression> optimized = Optimize(expr);
-  ASSERT_TRUE(optimized.ok()) << optimized.status();
-  EXPECT_EQ(*optimized, expr);
 }
 
 }  // namespace

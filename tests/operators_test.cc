@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "fira/builtin_functions.h"
 #include "fira/executor.h"
 #include "fira/operators.h"
+#include "fira/parser.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "relational/io.h"
 #include "workloads/flights.h"
 
@@ -493,6 +500,54 @@ TEST(OpPrintingTest, NamesAndTargets) {
   EXPECT_EQ(OpTargetRelation(ProductOp{"L", "Rr"}), "L");
   EXPECT_EQ(OpTargetRelation(RenameRelOp{"From", "To"}), "From");
   EXPECT_EQ(ProductResultName(ProductOp{"L", "Rr"}), "L*Rr");
+}
+
+// Pins each operator's name everywhere it shows: the script (which
+// checkpoints, the serve journal and saved mappings store), the parser,
+// and the executor's counter and span names, which perfbench's
+// SumCounters and trace_report read.
+TEST(OpPrintingTest, EveryOperatorNameInScriptCountersAndSpans) {
+  const Database db = Tdb(
+      "relation R (A, B, P) { (x, y, A) }\n"
+      "relation S (C) { (1) }");
+  FunctionRegistry reg;
+  ASSERT_TRUE(RegisterBuiltinFunctions(&reg).ok());
+  const std::vector<std::pair<std::string, Op>> cases = {
+      {"dereference", DereferenceOp{"R", "P", "O"}},
+      {"promote", PromoteOp{"R", "A", "B"}},
+      {"demote", DemoteOp{"R"}},
+      {"partition", PartitionOp{"R", "A"}},
+      {"product", ProductOp{"R", "S"}},
+      {"drop", DropOp{"R", "B"}},
+      {"merge", MergeOp{"R", "A"}},
+      {"rename_att", RenameAttrOp{"R", "A", "Z"}},
+      {"rename_rel", RenameRelOp{"R", "T"}},
+      {"apply", ApplyFunctionOp{"R", "concat", {"A", "B"}, "O"}},
+  };
+  std::set<size_t> alternatives;
+  for (const auto& [name, op] : cases) alternatives.insert(op.index());
+  ASSERT_EQ(alternatives.size(), std::variant_size_v<Op>);
+
+  obs::MetricRegistry metrics;
+  obs::TraceSession trace;
+  for (const auto& [name, op] : cases) {
+    EXPECT_EQ(OpName(op), name);
+    const std::string script = OpToScript(op);
+    EXPECT_TRUE(script.starts_with(name + "(")) << script;
+    Result<Op> back = ParseOp(script);
+    ASSERT_TRUE(back.ok()) << script << ": " << back.status();
+    EXPECT_EQ(*back, op) << script;
+    EXPECT_TRUE(ApplyOp(op, db, &reg, &metrics, &trace).ok()) << script;
+  }
+  std::map<std::string, int> spans;
+  for (const obs::TraceExportEvent& e : trace.Collect()) {
+    if (e.phase == obs::TracePhase::kBegin) ++spans[e.name];
+  }
+  for (const auto& [name, op] : cases) {
+    EXPECT_EQ(metrics.CounterValue("executor." + name + ".count"), 1u)
+        << name;
+    EXPECT_EQ(spans["op." + name], 1) << name;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fira/parser.h"
@@ -89,6 +90,19 @@ TEST(ParserTest, ErrorsMentionLine) {
   Result<MappingExpression> r = ParseExpression("drop(R, A)\ndrop(R,\n");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("line"), std::string::npos);
+
+  // Errors about a whole operator name the line it starts on.
+  const std::pair<const char*, const char*> cases[] = {
+      {"drop(R, A)\ndrop(R)\n", " at line 2"},
+      {"drop(R, A)\n\nfrobnicate(R)\n", " at line 3"},
+      {"drop(R, A)\napply(R, f, A, O)\n", " at line 2"},
+  };
+  for (const auto& [script, where] : cases) {
+    Result<MappingExpression> bad = ParseExpression(script);
+    ASSERT_FALSE(bad.ok()) << script;
+    EXPECT_NE(bad.status().message().find(where), std::string::npos)
+        << bad.status();
+  }
 }
 
 TEST(ParserTest, RoundTripPaperExpression) {

@@ -868,19 +868,6 @@ TEST(SearchMetricsTest, IdaIterationCounterAndFBoundHistogram) {
   const obs::Histogram* f_bound = registry.FindHistogram("search.f_bound");
   ASSERT_NE(f_bound, nullptr);
   EXPECT_EQ(f_bound->count(), static_cast<uint64_t>(out.stats.iterations));
-  // Re-visits of shallow states across iterations count as re-expansions.
-  EXPECT_GT(registry.CounterValue("search.re_expansions"), 0u);
-}
-
-TEST(SearchMetricsTest, SingleIterationHasNoReExpansions) {
-  GraphProblem p;
-  p.edges = {{0, {1}}, {1, {2}}};
-  p.goal = 2;
-  p.h = {{0, 2}, {1, 1}, {2, 0}};  // perfect heuristic: one iteration
-  obs::MetricRegistry registry;
-  auto out = IdaStarSearch(p, SearchLimits(), {&registry});
-  ASSERT_TRUE(out.found);
-  EXPECT_EQ(registry.CounterValue("search.re_expansions"), 0u);
 }
 
 TEST(AStarTest, DeterministicTieBreaking) {

@@ -205,28 +205,6 @@ TEST(SimdTermMergeTest, KernelsMatchNaiveLoops) {
   }
 }
 
-// Satellite coverage: the per-state TNF memo inside LevenshteinHeuristic.
-// Two estimates of the same state must encode once (one miss, one hit);
-// a different state is a fresh miss.
-TEST(LevenshteinMemoTest, TnfEncodingIsMemoizedPerState) {
-  SyntheticMatchingPair pair = MakeSyntheticMatchingPair(3);
-  LevenshteinHeuristic heuristic(pair.target, 32.0);
-  EXPECT_EQ(heuristic.tnf_cache_hits(), 0u);
-  EXPECT_EQ(heuristic.tnf_cache_misses(), 0u);
-
-  const int first = heuristic.Estimate(pair.source);
-  EXPECT_EQ(heuristic.tnf_cache_misses(), 1u);
-  EXPECT_EQ(heuristic.tnf_cache_hits(), 0u);
-
-  EXPECT_EQ(heuristic.Estimate(pair.source), first);
-  EXPECT_EQ(heuristic.tnf_cache_misses(), 1u);
-  EXPECT_EQ(heuristic.tnf_cache_hits(), 1u);
-
-  (void)heuristic.Estimate(pair.target);
-  EXPECT_EQ(heuristic.tnf_cache_misses(), 2u);
-  EXPECT_EQ(heuristic.tnf_cache_hits(), 1u);
-}
-
 // The batch estimator must return exactly what per-state EstimateCost
 // returns, including for duplicate pointers within one batch.
 TEST(EstimateBatchTest, MatchesSequentialEstimates) {

@@ -2,19 +2,19 @@
 // harness (tests/differential_common.h). Generates seeded random
 // expressions against every workload generator plus randomized edge
 // instances (empty relations, arity-0 relations, ⊥-heavy columns,
-// collision-prone schemas) and checks that the interpreter, the
-// CompiledExecutor, and the optimizer legs agree exactly — same
-// database (values, attribute order, tuple order) on success, same
-// Status code and message on failure — and that the fault injector is
-// consulted identically on both executors.
+// collision-prone schemas) and checks that the interpreter and the
+// CompiledExecutor agree exactly — same database (values, attribute
+// order, tuple order) on success, same Status code and message on
+// failure — that Simplify keeps the result of every succeeding instance,
+// and that the fault injector is consulted identically on both executors.
 //
 // Exit status is nonzero on any divergence, with a replayable
 // description (seed, expression script, both outcomes) on stderr.
 //
-//   equivalence_fuzz [--exprs=N] [--seed=S] [--max-len=K] [--quick]
+//   equivalence_fuzz [--exprs=N] [--seed=S] [--max-len=K]
 //
-// The default run (1000+ expressions) is the acceptance gate for the
-// compiled executor; --quick trims the count for the smoke lane.
+// The default run (1200 expressions) is the acceptance gate for the
+// compiled executor.
 
 #include <cstdint>
 #include <cstdio>
@@ -74,19 +74,18 @@ std::vector<std::pair<std::string, Database>> EdgeInstances() {
   return out;
 }
 
-std::vector<std::pair<std::string, Database>> Instances(bool quick) {
+std::vector<std::pair<std::string, Database>> Instances() {
   std::vector<std::pair<std::string, Database>> out = EdgeInstances();
   out.emplace_back("flights_a", MakeFlightsA());
   out.emplace_back("flights_b", MakeFlightsB());
   out.emplace_back("flights_c", MakeFlightsC());
   {
-    SyntheticMatchingPair pair = MakeSyntheticMatchingPair(quick ? 6 : 16);
+    SyntheticMatchingPair pair = MakeSyntheticMatchingPair(16);
     out.emplace_back("synthetic_source", std::move(pair.source));
     out.emplace_back("synthetic_target", std::move(pair.target));
   }
   {
-    RestructuringWorkload w =
-        MakeRestructuringWorkload(quick ? 2 : 4, quick ? 3 : 6);
+    RestructuringWorkload w = MakeRestructuringWorkload(4, 6);
     out.emplace_back("restructuring_wide", std::move(w.wide));
     out.emplace_back("restructuring_flat", std::move(w.flat));
     out.emplace_back("restructuring_split", std::move(w.split));
@@ -101,14 +100,14 @@ std::vector<std::pair<std::string, Database>> Instances(bool quick) {
   }
   for (SemanticDomain domain :
        {SemanticDomain::kInventory, SemanticDomain::kRealEstate}) {
-    SemanticWorkload w = MakeSemanticWorkload(domain, quick ? 4 : 8);
+    SemanticWorkload w = MakeSemanticWorkload(domain, 8);
     out.emplace_back("semantic_source", std::move(w.source));
     out.emplace_back("semantic_target", std::move(w.target));
   }
   return out;
 }
 
-int Run(uint64_t exprs, uint64_t seed, size_t max_len, bool quick) {
+int Run(uint64_t exprs, uint64_t seed, size_t max_len) {
   FunctionRegistry registry;
   if (Status st = RegisterBuiltinFunctions(&registry); !st.ok()) {
     std::fprintf(stderr, "builtin registration failed: %s\n",
@@ -116,8 +115,7 @@ int Run(uint64_t exprs, uint64_t seed, size_t max_len, bool quick) {
     return 2;
   }
 
-  std::vector<std::pair<std::string, Database>> instances =
-      Instances(quick);
+  std::vector<std::pair<std::string, Database>> instances = Instances();
   diff::Rng rng(seed);
   uint64_t divergences = 0;
   uint64_t checked = 0;
@@ -160,7 +158,6 @@ int main(int argc, char** argv) {
   uint64_t exprs = 1200;
   uint64_t seed = 2006;
   size_t max_len = 7;
-  bool quick = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--exprs=", 8) == 0) {
@@ -169,15 +166,13 @@ int main(int argc, char** argv) {
       seed = std::strtoull(arg + 7, nullptr, 10);
     } else if (std::strncmp(arg, "--max-len=", 10) == 0) {
       max_len = std::strtoull(arg + 10, nullptr, 10);
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      quick = true;
     } else {
       std::fprintf(stderr,
                    "usage: equivalence_fuzz [--exprs=N] [--seed=S] "
-                   "[--max-len=K] [--quick]\n");
+                   "[--max-len=K]\n");
       return 2;
     }
   }
   if (max_len == 0) max_len = 1;
-  return tupelo::Run(exprs, seed, max_len, quick);
+  return tupelo::Run(exprs, seed, max_len);
 }
