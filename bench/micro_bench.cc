@@ -24,6 +24,7 @@
 
 #include "bench_util.h"
 #include "common/hash.h"
+#include "common/simd/edit_distance.h"
 #include "core/mapping_problem.h"
 #include "core/tupelo.h"
 #include "fira/executor.h"
@@ -223,6 +224,36 @@ void BM_LevenshteinAsym(benchmark::State& state) {
 }
 BENCHMARK(BM_LevenshteinAsym)->Args({64, 1024})->Args({128, 4096});
 
+// `n` bytes over a TNF-like alphabet, fixed by `seed`.
+std::string TnfishText(size_t n, uint64_t seed) {
+  static constexpr std::string_view kAlphabet = "RSTabcxyz0123_";
+  std::string s(n, ' ');
+  for (size_t i = 0; i < n; ++i) {
+    s[i] = kAlphabet[Mix64(seed + i) % kAlphabet.size()];
+  }
+  return s;
+}
+
+// PreparedPattern::Distance, the hL heuristic's kernel: a fixed target of
+// W·64 − 10 bytes (range(0) = W words) against a 350-byte text, about an
+// Inventory state's TNF string. W = 1..6 run the kernels compiled per
+// word count, W = 8 and 9 the generic blocked one. per_block_step is the
+// time of one 64-row block of one text column.
+void BM_PreparedLevenshtein(benchmark::State& state) {
+  const size_t words = static_cast<size_t>(state.range(0));
+  const simd::PreparedPattern pattern(TnfishText(words * 64 - 10, 1));
+  const std::string text = TnfishText(350, 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pattern.Distance(text));
+  }
+  state.counters["per_block_step"] = benchmark::Counter(
+      static_cast<double>(words * text.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PreparedLevenshtein)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(9);
+
 // Full distance kit over two term vectors of ~3n nonzero coordinates:
 // one DotMerge, one MinSumMerge, and the cached-sum identity forms.
 void BM_TermVectorMerge(benchmark::State& state) {
@@ -238,8 +269,9 @@ void BM_TermVectorMerge(benchmark::State& state) {
 BENCHMARK(BM_TermVectorMerge)->Arg(4)->Arg(16)->Arg(32);
 
 // One EstimateCostBatch round over a frontier's worth of successor
-// states, miss path (caches trimmed each iteration): what a beam level
-// pays per expansion with the levenshtein heuristic.
+// states (the batch path keeps no memo, so every round evaluates them
+// all): what a beam level pays per expansion with the levenshtein
+// heuristic.
 void BM_EstimateBatch(benchmark::State& state) {
   SyntheticMatchingPair pair =
       MakeSyntheticMatchingPair(static_cast<size_t>(state.range(0)));
@@ -252,7 +284,6 @@ void BM_EstimateBatch(benchmark::State& state) {
   for (const auto& succ : successors) states.push_back(&succ.state);
   std::vector<int> out(states.size());
   for (auto _ : state) {
-    problem.TrimCaches();
     problem.EstimateCostBatch(states, out);
     benchmark::DoNotOptimize(out.data());
   }
@@ -433,7 +464,6 @@ int RunJsonSuite(int argc, char** argv) {
   for (const auto& succ : batch_succ) batch_states.push_back(&succ.state);
   std::vector<int> batch_out(batch_states.size());
   double estimate_batch = NanosPer(expand_iters, [&] {
-    batch_problem.TrimCaches();
     batch_problem.EstimateCostBatch(batch_states, batch_out);
     benchmark::DoNotOptimize(batch_out.data());
   });

@@ -5,101 +5,99 @@
 namespace tupelo::simd {
 namespace {
 
-// Myers 1999 bit-parallel DP in its global-alignment form (Hyyrö's
-// formulation): pattern rows live in 64-bit vertical delta vectors
-// Pv/Mv, one column per text character. The `| 1` fed into Ph after the
-// shift is the D[0][j] = j boundary — each column enters with a +1
-// horizontal delta at row 0, which is what turns the approximate-match
-// recurrence into plain edit distance.
-size_t Myers64(size_t m, const uint64_t peq[256], std::string_view text) {
-  uint64_t pv = ~uint64_t{0};
-  uint64_t mv = 0;
-  size_t score = m;
-  const uint64_t last = uint64_t{1} << (m - 1);
-  for (unsigned char c : text) {
-    uint64_t eq = peq[c];
-    uint64_t xv = eq | mv;
-    uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
-    uint64_t ph = mv | ~(xh | pv);
-    uint64_t mh = pv & xh;
-    if (ph & last) {
-      ++score;
-    } else if (mh & last) {
-      --score;
-    }
-    ph = (ph << 1) | 1;
-    mh <<= 1;
-    pv = mh | ~(xv | ph);
-    mv = ph & xv;
-  }
-  return score;
+// One 64-row block of one Myers 1999 column, in its global-alignment
+// form (Hyyrö's formulation): pattern rows live in the 64-bit vertical
+// delta vectors pv/mv, one column per text character. `hp`/`hm` (each 0
+// or 1, never both) carry the +1/-1 horizontal delta into the block's
+// lowest row from the block below; for the bottom block that is the
+// D[0][j] = j boundary, a +1 into row 0 of every column, which is what
+// turns the approximate-match recurrence into plain edit distance.
+// Returns the block's unshifted horizontal deltas: bit r of `ph` (`mh`)
+// is set when row r's delta is +1 (-1). The two never share a bit, so
+// callers read a score step or a carry out branch-free as
+// ph_bit - mh_bit.
+struct HDelta {
+  uint64_t ph;
+  uint64_t mh;
+};
+inline HDelta AdvanceBlock(uint64_t eq, uint64_t hp, uint64_t hm,
+                           uint64_t& pv, uint64_t& mv) {
+  const uint64_t xv = eq | mv;
+  eq |= hm;
+  const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
+  const uint64_t ph = mv | ~(xh | pv);
+  const uint64_t mh = pv & xh;
+  const uint64_t ph_in = (ph << 1) | hp;
+  const uint64_t mh_in = (mh << 1) | hm;
+  pv = mh_in | ~(xv | ph_in);
+  mv = ph_in & xv;
+  return {ph, mh};
 }
 
-// Blocked Myers for patterns longer than 64 rows: W = ceil(m/64) blocks
-// per column, processed low block to high with a carry hin/hout in
-// {-1, 0, +1} between them. The score is tracked at the true last row's
-// bit, (m-1) % 64 of the top block, read before the shift; bits above it
-// in a partial top block are garbage but harmless — the addition and the
-// shifts only carry upward, and the top block's hout is never used.
-size_t MyersBlocked(std::string_view pattern, std::string_view text,
-                    size_t blocks, const uint64_t* peq) {
-  const size_t m = pattern.size();
-  const size_t w = blocks;
-  std::vector<uint64_t> pv(w, ~uint64_t{0});
-  std::vector<uint64_t> mv(w, 0);
+// Myers for a pattern of exactly W words (64(W-1) < m <= 64W): blocks
+// run low to high per column, each handing its top row's delta up as
+// the next block's carry. W is a compile-time constant, so the block
+// loop unrolls and the deltas live in registers. The score is tracked
+// at the true last row's bit, (m-1) % 64 of the top block; bits above
+// it in a partial top block are garbage but harmless, since the
+// addition and the shifts only carry upward and the top block's carry
+// out is never used. peq[c * W + b] is the match mask of rows
+// [64b, 64b+63] for byte c.
+template <size_t W>
+size_t MyersFixed(size_t m, const uint64_t* peq, std::string_view text) {
+  uint64_t pv[W];
+  uint64_t mv[W];
+  std::fill(pv, pv + W, ~uint64_t{0});
+  std::fill(mv, mv + W, uint64_t{0});
   size_t score = m;
-  const size_t last_bit = (m - 1) % 64;
+  const uint64_t last = uint64_t{1} << ((m - 1) % 64);
   for (unsigned char c : text) {
-    const uint64_t* eq_col = peq + static_cast<size_t>(c) * w;
-    int hin = 1;  // D[0][j] - D[0][j-1] = +1: global alignment boundary
-    for (size_t b = 0; b < w; ++b) {
-      uint64_t eq = eq_col[b];
-      uint64_t pvb = pv[b];
-      uint64_t mvb = mv[b];
-      uint64_t xv = eq | mvb;
-      if (hin < 0) eq |= 1;
-      uint64_t xh = (((eq & pvb) + pvb) ^ pvb) | eq;
-      uint64_t ph = mvb | ~(xh | pvb);
-      uint64_t mh = pvb & xh;
-      if (b == w - 1) {
-        if ((ph >> last_bit) & 1) {
-          ++score;
-        } else if ((mh >> last_bit) & 1) {
-          --score;
-        }
+    const uint64_t* eq_col = peq + static_cast<size_t>(c) * W;
+    uint64_t hp = 1;
+    uint64_t hm = 0;
+#pragma GCC unroll 6
+    for (size_t b = 0; b < W; ++b) {
+      const HDelta h = AdvanceBlock(eq_col[b], hp, hm, pv[b], mv[b]);
+      if (b == W - 1) {
+        score += (h.ph & last) != 0;
+        score -= (h.mh & last) != 0;
       }
-      int hout = 0;
-      if (ph >> 63) {
-        hout = 1;
-      } else if (mh >> 63) {
-        hout = -1;
-      }
-      ph <<= 1;
-      mh <<= 1;
-      if (hin > 0) {
-        ph |= 1;
-      } else if (hin < 0) {
-        mh |= 1;
-      }
-      pv[b] = mh | ~(xv | ph);
-      mv[b] = ph & xv;
-      hin = hout;
+      hp = h.ph >> 63;
+      hm = h.mh >> 63;
     }
   }
   return score;
 }
 
-// peq[c] for a single-word pattern (m <= 64).
-void BuildPeq64(std::string_view pattern, uint64_t peq[256]) {
-  std::fill(peq, peq + 256, 0);
-  for (size_t i = 0; i < pattern.size(); ++i) {
-    peq[static_cast<unsigned char>(pattern[i])] |= uint64_t{1} << i;
+// The same recurrence for any block count, with the deltas kept in
+// memory: the fallback for patterns longer than the widest MyersFixed
+// and for the unprepared EditDistance.
+size_t MyersBlocked(size_t m, size_t blocks, const uint64_t* peq,
+                    std::string_view text) {
+  std::vector<uint64_t> pv(blocks, ~uint64_t{0});
+  std::vector<uint64_t> mv(blocks, 0);
+  size_t score = m;
+  const uint64_t last = uint64_t{1} << ((m - 1) % 64);
+  for (unsigned char c : text) {
+    const uint64_t* eq_col = peq + static_cast<size_t>(c) * blocks;
+    uint64_t hp = 1;
+    uint64_t hm = 0;
+    for (size_t b = 0; b < blocks; ++b) {
+      const HDelta h = AdvanceBlock(eq_col[b], hp, hm, pv[b], mv[b]);
+      if (b == blocks - 1) {
+        score += (h.ph & last) != 0;
+        score -= (h.mh & last) != 0;
+      }
+      hp = h.ph >> 63;
+      hm = h.mh >> 63;
+    }
   }
+  return score;
 }
 
-void BuildPeq(std::string_view pattern, size_t blocks,
-              std::vector<uint64_t>& peq) {
-  peq.assign(blocks * 256, 0);
+// Fills peq[c * blocks + b] (zeroed by the caller, 256 * blocks words)
+// with the match mask of pattern rows [64b, 64b+63] for byte c.
+void BuildPeq(std::string_view pattern, size_t blocks, uint64_t* peq) {
   for (size_t i = 0; i < pattern.size(); ++i) {
     peq[static_cast<size_t>(static_cast<unsigned char>(pattern[i])) * blocks +
         i / 64] |= uint64_t{1} << (i % 64);
@@ -128,18 +126,18 @@ size_t MyersDistance(std::string_view a, std::string_view b) {
   if (a.size() > b.size()) std::swap(a, b);
   if (a.empty()) return b.size();
   if (a.size() <= 64) {
-    uint64_t peq[256];
-    BuildPeq64(a, peq);
-    return Myers64(a.size(), peq, b);
+    uint64_t peq[256] = {};
+    BuildPeq(a, 1, peq);
+    return MyersFixed<1>(a.size(), peq, b);
   }
   const size_t blocks_a = (a.size() + 63) / 64;
   const size_t blocks_b = (b.size() + 63) / 64;
   std::string_view pattern = blocks_b * a.size() <= blocks_a * b.size() ? b : a;
   std::string_view text = pattern.data() == b.data() ? a : b;
   const size_t blocks = (pattern.size() + 63) / 64;
-  std::vector<uint64_t> peq;
-  BuildPeq(pattern, blocks, peq);
-  return MyersBlocked(pattern, text, blocks, peq.data());
+  std::vector<uint64_t> peq(blocks * 256, 0);
+  BuildPeq(pattern, blocks, peq.data());
+  return MyersBlocked(pattern.size(), blocks, peq.data(), text);
 }
 
 }  // namespace
@@ -157,23 +155,26 @@ size_t EditDistance(std::string_view a, std::string_view b) {
 }
 
 PreparedPattern::PreparedPattern(std::string pattern)
-    : pattern_(std::move(pattern)) {
-  if (pattern_.empty()) return;
-  if (pattern_.size() <= 64) {
-    blocks_ = 1;
-    peq_.assign(256, 0);
-    BuildPeq64(pattern_, peq_.data());
-  } else {
-    blocks_ = (pattern_.size() + 63) / 64;
-    BuildPeq(pattern_, blocks_, peq_);
-  }
+    : pattern_(std::move(pattern)),
+      blocks_((pattern_.size() + 63) / 64),
+      peq_(blocks_ * 256, 0) {
+  BuildPeq(pattern_, blocks_, peq_.data());
 }
 
 size_t PreparedPattern::Distance(std::string_view text) const {
-  if (pattern_.empty()) return text.size();
-  if (text.empty()) return pattern_.size();
-  if (pattern_.size() <= 64) return Myers64(pattern_.size(), peq_.data(), text);
-  return MyersBlocked(pattern_, text, blocks_, peq_.data());
+  const size_t m = pattern_.size();
+  if (m == 0) return text.size();
+  if (text.empty()) return m;
+  const uint64_t* peq = peq_.data();
+  switch (blocks_) {
+    case 1: return MyersFixed<1>(m, peq, text);
+    case 2: return MyersFixed<2>(m, peq, text);
+    case 3: return MyersFixed<3>(m, peq, text);
+    case 4: return MyersFixed<4>(m, peq, text);
+    case 5: return MyersFixed<5>(m, peq, text);
+    case 6: return MyersFixed<6>(m, peq, text);
+    default: return MyersBlocked(m, blocks_, peq, text);
+  }
 }
 
 }  // namespace tupelo::simd

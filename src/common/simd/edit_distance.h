@@ -20,7 +20,11 @@ size_t EditDistance(std::string_view a, std::string_view b);
 // Levenshtein heuristic, where the target TNF string never changes and
 // every state string is compared against it. Precomputes the per-block
 // match masks (Peq) once; Distance() then runs Myers directly, skipping
-// the per-call table build.
+// the per-call table build. Patterns of up to 6 words (384 bytes, the
+// longest TNF targets of the paper's workloads) run a kernel compiled for
+// their exact word count, which keeps the vertical deltas in registers
+// and allocates nothing; longer ones fall back to the blocked kernel
+// EditDistance uses.
 class PreparedPattern {
  public:
   explicit PreparedPattern(std::string pattern);

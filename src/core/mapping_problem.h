@@ -7,6 +7,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -59,18 +60,64 @@ struct SuccessorConfig {
   size_t expand_cache_capacity = 256;
 };
 
+// A memo of heuristic estimates keyed by 128-bit state fingerprint: one
+// open-addressing array of (key, h) slots with linear probing, its
+// capacity a power of two that doubles at half load from 64 slots. Each
+// slot has an occupancy flag, so every h round-trips, 0 included. Not
+// thread-safe; MappingProblem guards each of its shards with a mutex.
+class EstimateMemo {
+ public:
+  std::optional<int> Find(const Fp128& key) const {
+    if (slots_ == nullptr) return std::nullopt;
+    const Slot& slot = slots_[SlotOf(key)];
+    if (!slot.used) return std::nullopt;
+    return slot.h;
+  }
+
+  // Stores `h` under `key`; a key already present keeps its value.
+  void Insert(const Fp128& key, int h);
+
+  // Frees the array, so that a memory-relief trim returns its memory.
+  void Release() {
+    slots_.reset();
+    mask_ = 0;
+    size_ = 0;
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  struct Slot {
+    Fp128 key;
+    int h = 0;
+    bool used = false;
+  };
+  static constexpr size_t kMinSlots = 64;
+
+  // The slot holding `key`, or the empty slot where it would go.
+  size_t SlotOf(const Fp128& key) const {
+    size_t i = Fp128Hash{}(key) & mask_;
+    while (slots_[i].used && !(slots_[i].key == key)) i = (i + 1) & mask_;
+    return i;
+  }
+
+  std::unique_ptr<Slot[]> slots_;
+  size_t mask_ = 0;  // capacity - 1 once allocated
+  size_t size_ = 0;
+};
+
 // The TUPELO search problem (§2.3): states are database instances, actions
 // are L operators, the initial state is the source critical instance, and
 // a state is a goal when it contains the target critical instance.
 // Satisfies the search Problem duck type of search/search_types.h.
 //
 // Thread safety: the const query surface (IsGoal/Expand/EstimateCost/
-// StateKey/StateKey128/AuxMemoryNodes) may be called from several threads
-// at once — BeamSearch fans Expand+EstimateCost out across a pool. The
-// heuristic itself is stateless; the estimate cache is sharded by key and
-// the expand transposition cache sits under one mutex (successor
-// generation happens outside it). The problem owns mutexes, so it is
-// neither copyable nor movable.
+// EstimateCostBatch/StateKey/StateKey128/AuxMemoryNodes) may be called
+// from several threads at once — BeamSearch fans Expand+EstimateCostBatch
+// out across a pool. The heuristic itself is stateless; the estimate memo
+// is sharded by key and the expand transposition cache sits under one
+// mutex (successor generation happens outside it). The problem owns
+// mutexes, so it is neither copyable nor movable.
 class MappingProblem {
  public:
   using State = Database;
@@ -101,8 +148,9 @@ class MappingProblem {
   // Attaches a trace session (nullable; default off; same convention as
   // set_metrics). Expand emits one "expand" span per cache miss (with the
   // successor count on the end event), heuristic evaluation one
-  // "heuristic" span per estimate-cache miss, and the session threads
-  // into ApplyOp for per-operator spans. Must outlive the problem's use.
+  // "heuristic" span per estimate-memo miss or per batch, and the session
+  // threads into ApplyOp for per-operator spans. Must outlive the
+  // problem's use.
   void set_trace(obs::TraceSession* trace) { trace_ = trace; }
   obs::TraceSession* trace() const { return trace_; }
 
@@ -117,29 +165,28 @@ class MappingProblem {
   // 128-bit fingerprint (see SuccessorConfig::expand_cache_capacity).
   std::vector<SuccessorT> Expand(const Database& state) const;
 
-  // Heuristic estimates are cached by state fingerprint: IDA* re-visits
+  // Heuristic estimates are memoized by state fingerprint: IDA* re-visits
   // shallow states once per iteration and RBFS re-descends abandoned
   // branches, so the same states are estimated many times over a search.
-  // The cache trades memory (bounded by distinct states visited) for the
+  // The memo trades memory (bounded by distinct states visited) for the
   // dominant per-state cost of the string/vector heuristics. Keys are the
   // full 128-bit fingerprint: with a 64-bit key, two distinct states
   // colliding would silently serve one another's estimates.
   //
-  // The cache is sharded by key so parallel beam workers estimating
+  // The memo is sharded by key so concurrent callers estimating
   // different states rarely contend; the heuristic runs outside the lock
   // (two threads may race to compute the same state's estimate — both get
-  // the same value, and the second emplace is a no-op).
+  // the same value, and the second insert is a no-op).
   int EstimateCost(const Database& state) const {
     Fp128 key = state.Fingerprint128();
     EstimateShard& shard = estimate_shards_[ShardIndex(key)];
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.cache.find(key);
-      if (it != shard.cache.end()) {
+      if (std::optional<int> cached = shard.memo.Find(key)) {
         if (heuristic_cache_hits_ != nullptr) {
           heuristic_cache_hits_->Increment();
         }
-        return it->second;
+        return *cached;
       }
     }
     int estimate;
@@ -155,19 +202,19 @@ class MappingProblem {
     if (heuristic_evals_ != nullptr) heuristic_evals_->Increment();
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      shard.cache.emplace(key, estimate);
+      shard.memo.Insert(key, estimate);
     }
     return estimate;
   }
 
   // Batched EstimateCost: out[i] = EstimateCost(*states[i]), with one
-  // pass of shard probes, one heuristic call over the distinct misses
-  // (Heuristic::EstimateBatch, outside every shard lock), and one pass
-  // of inserts. Counter semantics mirror the sequential path exactly:
-  // each distinct uncached state counts one eval, and cached states —
-  // including repeats within the batch, which sequential calls would
-  // have found in the cache — count as cache hits. Values are the same
-  // as N sequential calls (the heuristic is deterministic), so routing a
+  // heuristic call (Heuristic::EstimateBatch) over the whole batch. It
+  // neither reads nor fills the estimate memo, and every state counts
+  // one eval. Callers pass distinct states: the one caller, the beam,
+  // passes part of one Expand result, which Expand dedups, and only
+  // successors not yet in its dedup set, so a memo here would almost
+  // never hit and would only hold memory. Values are the same as N
+  // sequential calls (the heuristic is deterministic), so routing a
   // frontier through here cannot change a search outcome.
   void EstimateCostBatch(std::span<const Database* const> states,
                          std::span<int> out) const;
@@ -194,11 +241,11 @@ class MappingProblem {
   // and duplicate-state filtering. Exposed for tests and ablations.
   std::vector<Op> CandidateOps(const Database& state) const;
 
-  // Drops the Expand transposition cache and every estimate-cache shard —
-  // the supervisor's soft memory-relief lever (runtime/supervisor.h).
-  // Thread-safe; may run concurrently with a search, which simply starts
-  // repopulating the caches. Counts into expand.cache_trims when metrics
-  // are attached.
+  // Drops the Expand transposition cache and frees every estimate-memo
+  // shard — the supervisor's soft memory-relief lever
+  // (runtime/supervisor.h). Thread-safe; may run concurrently with a
+  // search, which simply starts repopulating the caches. Counts into
+  // expand.cache_trims when metrics are attached.
   void TrimCaches() const;
 
  private:
@@ -208,13 +255,13 @@ class MappingProblem {
   };
   using ExpandCacheList = std::list<ExpandCacheEntry>;
 
-  // Estimate-cache shard count; a power of two so ShardIndex is a mask.
-  // Eight shards keeps contention negligible for the pool sizes the
-  // parallel beam runs (worker counts in the single digits).
+  // Estimate-memo shard count; a power of two so ShardIndex is a mask.
+  // Eight shards keeps contention negligible for the thread counts that
+  // share one problem (single digits).
   static constexpr size_t kEstimateShards = 8;
   struct EstimateShard {
     std::mutex mu;
-    std::unordered_map<Fp128, int, Fp128Hash> cache;
+    EstimateMemo memo;
   };
   static size_t ShardIndex(const Fp128& key) {
     return static_cast<size_t>(key.hi) & (kEstimateShards - 1);

@@ -144,11 +144,11 @@ struct OpApplier {
     TUPELO_ASSIGN_OR_RETURN(const Relation* rel, db.GetRelation(op.rel));
     std::optional<size_t> pointer_idx = rel->AttributeIndex(op.pointer);
     if (!pointer_idx.has_value()) {
-      return Status::NotFound("dereference: attribute '" + op.pointer +
+      return Status::NotFound(OpErrorPrefix(op) + "attribute '" + op.pointer +
                               "' not in " + op.rel);
     }
     if (rel->HasAttribute(op.out)) {
-      return Status::AlreadyExists("dereference: attribute '" + op.out +
+      return Status::AlreadyExists(OpErrorPrefix(op) + "attribute '" + op.out +
                                    "' already in " + op.rel);
     }
     std::vector<std::string> attrs = rel->attributes();
@@ -177,19 +177,19 @@ struct OpApplier {
     TUPELO_ASSIGN_OR_RETURN(const Relation* rel, db.GetRelation(op.rel));
     std::optional<size_t> name_idx = rel->AttributeIndex(op.name_attr);
     if (!name_idx.has_value()) {
-      return Status::NotFound("promote: attribute '" + op.name_attr +
-                              "' not in " + op.rel);
+      return Status::NotFound(OpErrorPrefix(op) + "attribute '" +
+                              op.name_attr + "' not in " + op.rel);
     }
     std::optional<size_t> value_idx = rel->AttributeIndex(op.value_attr);
     if (!value_idx.has_value()) {
-      return Status::NotFound("promote: attribute '" + op.value_attr +
-                              "' not in " + op.rel);
+      return Status::NotFound(OpErrorPrefix(op) + "attribute '" +
+                              op.value_attr + "' not in " + op.rel);
     }
     TUPELO_ASSIGN_OR_RETURN(std::vector<std::string> new_columns,
                             rel->DistinctValues(op.name_attr));
     for (const std::string& col : new_columns) {
       if (rel->HasAttribute(col)) {
-        return Status::AlreadyExists("promote: column name '" + col +
+        return Status::AlreadyExists(OpErrorPrefix(op) + "column name '" + col +
                                      "' already in " + op.rel);
       }
     }
@@ -221,7 +221,7 @@ struct OpApplier {
     TUPELO_ASSIGN_OR_RETURN(const Relation* rel, db.GetRelation(op.rel));
     if (rel->HasAttribute(kDemoteAttrColumn) ||
         rel->HasAttribute(kDemoteValueColumn)) {
-      return Status::AlreadyExists("demote: " + op.rel +
+      return Status::AlreadyExists(OpErrorPrefix(op) + op.rel +
                                    " already has demote columns");
     }
     std::vector<std::string> attrs = rel->attributes();
@@ -247,14 +247,14 @@ struct OpApplier {
     TUPELO_ASSIGN_OR_RETURN(const Relation* rel, db.GetRelation(op.rel));
     std::optional<size_t> idx = rel->AttributeIndex(op.attr);
     if (!idx.has_value()) {
-      return Status::NotFound("partition: attribute '" + op.attr +
+      return Status::NotFound(OpErrorPrefix(op) + "attribute '" + op.attr +
                               "' not in " + op.rel);
     }
     TUPELO_ASSIGN_OR_RETURN(std::vector<std::string> names,
                             rel->DistinctValues(op.attr));
     for (const std::string& name : names) {
       if (db.HasRelation(name)) {
-        return Status::AlreadyExists("partition: relation '" + name +
+        return Status::AlreadyExists(OpErrorPrefix(op) + "relation '" + name +
                                      "' already exists");
       }
     }
@@ -274,7 +274,7 @@ struct OpApplier {
   Result<Database> operator()(const ProductOp& op) const {
     if (op.left == op.right) {
       return Status::InvalidArgument(
-          "product: self-product of '" + op.left +
+          OpErrorPrefix(op) + "self-product of '" + op.left +
           "' would duplicate attribute names");
     }
     Database db = input;
@@ -282,13 +282,13 @@ struct OpApplier {
     TUPELO_ASSIGN_OR_RETURN(const Relation* right, db.GetRelation(op.right));
     std::string result_name = ProductResultName(op);
     if (db.HasRelation(result_name)) {
-      return Status::AlreadyExists("product: relation '" + result_name +
-                                   "' already exists");
+      return Status::AlreadyExists(OpErrorPrefix(op) + "relation '" +
+                                   result_name + "' already exists");
     }
     std::vector<std::string> attrs = left->attributes();
     for (const std::string& a : right->attributes()) {
       if (left->HasAttribute(a)) {
-        return Status::InvalidArgument("product: attribute '" + a +
+        return Status::InvalidArgument(OpErrorPrefix(op) + "attribute '" + a +
                                        "' appears in both operands");
       }
       attrs.push_back(a);
@@ -310,8 +310,8 @@ struct OpApplier {
     Database db = input;
     TUPELO_ASSIGN_OR_RETURN(Relation * rel, db.GetMutableRelation(op.rel));
     if (rel->arity() <= 1) {
-      return Status::FailedPrecondition("drop: cannot drop the last column of " +
-                                        op.rel);
+      return Status::FailedPrecondition(
+          OpErrorPrefix(op) + "cannot drop the last column of " + op.rel);
     }
     TUPELO_RETURN_IF_ERROR(rel->DropAttribute(op.attr));
     return db;
@@ -323,8 +323,8 @@ struct OpApplier {
     TUPELO_ASSIGN_OR_RETURN(const Relation* rel, db.GetRelation(op.rel));
     std::optional<size_t> idx = rel->AttributeIndex(op.attr);
     if (!idx.has_value()) {
-      return Status::NotFound("merge: attribute '" + op.attr + "' not in " +
-                              op.rel);
+      return Status::NotFound(OpErrorPrefix(op) + "attribute '" + op.attr +
+                              "' not in " + op.rel);
     }
     // Group tuple indices by their (non-null) merge-key atom; null-keyed
     // tuples stay untouched.
@@ -380,13 +380,13 @@ struct OpApplier {
   Result<Database> operator()(const ApplyFunctionOp& op) const {
     if (registry == nullptr) {
       return Status::FailedPrecondition(
-          "apply: no function registry supplied for λ operator");
+          OpErrorPrefix(op) + "no function registry supplied for λ operator");
     }
     TUPELO_ASSIGN_OR_RETURN(const ComplexFunction* fn,
                             registry->Lookup(op.function));
     if (fn->arity != op.inputs.size()) {
       return Status::InvalidArgument(
-          "apply: function '" + op.function + "' expects " +
+          OpErrorPrefix(op) + "function '" + op.function + "' expects " +
           std::to_string(fn->arity) + " inputs, got " +
           std::to_string(op.inputs.size()));
     }
@@ -397,13 +397,13 @@ struct OpApplier {
     for (const std::string& a : op.inputs) {
       std::optional<size_t> idx = rel->AttributeIndex(a);
       if (!idx.has_value()) {
-        return Status::NotFound("apply: attribute '" + a + "' not in " +
-                                op.rel);
+        return Status::NotFound(OpErrorPrefix(op) + "attribute '" + a +
+                                "' not in " + op.rel);
       }
       input_idx.push_back(*idx);
     }
     if (rel->HasAttribute(op.out)) {
-      return Status::AlreadyExists("apply: attribute '" + op.out +
+      return Status::AlreadyExists(OpErrorPrefix(op) + "attribute '" + op.out +
                                    "' already in " + op.rel);
     }
     std::vector<std::string> attrs = rel->attributes();

@@ -16,10 +16,10 @@ namespace tupelo {
 //
 // Each struct declares its script name once, as `kName`, and its
 // arguments once, as `Fields()`: a tie of its members in script order.
-// The script printer, the parser, OpName and the executor's metric and
-// span names all read these two. The first argument is always the
-// relation the operator acts on (×'s left operand); OpTargetRelation
-// returns it.
+// The script printer, the parser, OpName, error messages and the
+// executor's metric and span names all read these two. The first
+// argument is always the relation the operator acts on (×'s left
+// operand); OpTargetRelation returns it.
 //
 // All operators act on one database state and yield a new database state:
 // they rewrite the named relation (or add relations) and leave the rest of
@@ -165,6 +165,13 @@ std::string OpToPretty(const Op& op);
 // The operator's symbolic name in script form ("promote", "rename_att"...):
 // its kName.
 std::string_view OpName(const Op& op);
+
+// "<kName>: ", the prefix of every error message about operator `op`,
+// from the type checker and the executor alike.
+template <typename T>
+std::string OpErrorPrefix(const T& /*op*/) {
+  return std::string(T::kName) + ": ";
+}
 
 // The operator's first argument: the relation it primarily rewrites (left
 // operand for product, `from` for rename_rel).

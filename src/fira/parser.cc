@@ -204,9 +204,10 @@ class ExprParser {
       T op;
       constexpr size_t kArity = std::tuple_size_v<decltype(op.Fields())>;
       if (args.size() != kArity) {
-        return Status::ParseError(opname + " expects " +
-                                  std::to_string(kArity) + " arguments, got " +
-                                  std::to_string(args.size()) + at_line);
+        return Status::ParseError(
+            opname + " expects " + std::to_string(kArity) +
+            (kArity == 1 ? " argument, got " : " arguments, got ") +
+            std::to_string(args.size()) + at_line);
       }
       size_t i = 0;
       const bool shapes_match = std::apply(

@@ -23,27 +23,30 @@ namespace {
 // Looks up a relation schema; when the database is open and the relation
 // is unknown, yields a fully-open placeholder (nothing can be proven about
 // it). A missing relation in a closed database is a definite error.
+template <typename T>
 Result<RelationSchema> FindRelation(const DatabaseSchema& db,
-                                    const std::string& name,
-                                    const std::string& op) {
+                                    const std::string& name, const T& op) {
   auto it = db.relations.find(name);
   if (it != db.relations.end()) return it->second;
   if (db.open) return RelationSchema{{}, true};
-  return Status::NotFound(op + ": relation '" + name + "' does not exist");
+  return Status::NotFound(OpErrorPrefix(op) + "relation '" + name +
+                          "' does not exist");
 }
 
 // Definite-presence / definite-absence judgements on attributes.
+template <typename T>
 Status RequireAttribute(const RelationSchema& rel, const std::string& attr,
-                        const std::string& op) {
+                        const T& op) {
   if (rel.HasAttribute(attr) || rel.open) return Status::OK();
-  return Status::NotFound(op + ": attribute '" + attr + "' does not exist");
+  return Status::NotFound(OpErrorPrefix(op) + "attribute '" + attr +
+                          "' does not exist");
 }
 
+template <typename T>
 Status RequireFreshAttribute(const RelationSchema& rel,
-                             const std::string& attr,
-                             const std::string& op) {
+                             const std::string& attr, const T& op) {
   if (rel.HasAttribute(attr)) {
-    return Status::AlreadyExists(op + ": attribute '" + attr +
+    return Status::AlreadyExists(OpErrorPrefix(op) + "attribute '" + attr +
                                  "' already exists");
   }
   return Status::OK();
@@ -55,9 +58,9 @@ struct SchemaApplier {
 
   Result<DatabaseSchema> operator()(const DereferenceOp& op) const {
     TUPELO_ASSIGN_OR_RETURN(RelationSchema rel,
-                            FindRelation(input, op.rel, "dereference"));
-    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.pointer, "dereference"));
-    TUPELO_RETURN_IF_ERROR(RequireFreshAttribute(rel, op.out, "dereference"));
+                            FindRelation(input, op.rel, op));
+    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.pointer, op));
+    TUPELO_RETURN_IF_ERROR(RequireFreshAttribute(rel, op.out, op));
     DatabaseSchema out = input;
     rel.attributes.push_back(op.out);
     out.relations[op.rel] = std::move(rel);
@@ -66,9 +69,9 @@ struct SchemaApplier {
 
   Result<DatabaseSchema> operator()(const PromoteOp& op) const {
     TUPELO_ASSIGN_OR_RETURN(RelationSchema rel,
-                            FindRelation(input, op.rel, "promote"));
-    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.name_attr, "promote"));
-    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.value_attr, "promote"));
+                            FindRelation(input, op.rel, op));
+    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.name_attr, op));
+    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.value_attr, op));
     DatabaseSchema out = input;
     rel.open = true;  // data-named columns appear
     out.relations[op.rel] = std::move(rel);
@@ -77,11 +80,11 @@ struct SchemaApplier {
 
   Result<DatabaseSchema> operator()(const DemoteOp& op) const {
     TUPELO_ASSIGN_OR_RETURN(RelationSchema rel,
-                            FindRelation(input, op.rel, "demote"));
+                            FindRelation(input, op.rel, op));
     TUPELO_RETURN_IF_ERROR(
-        RequireFreshAttribute(rel, kDemoteAttrColumn, "demote"));
+        RequireFreshAttribute(rel, kDemoteAttrColumn, op));
     TUPELO_RETURN_IF_ERROR(
-        RequireFreshAttribute(rel, kDemoteValueColumn, "demote"));
+        RequireFreshAttribute(rel, kDemoteValueColumn, op));
     DatabaseSchema out = input;
     rel.attributes.push_back(kDemoteAttrColumn);
     rel.attributes.push_back(kDemoteValueColumn);
@@ -91,8 +94,8 @@ struct SchemaApplier {
 
   Result<DatabaseSchema> operator()(const PartitionOp& op) const {
     TUPELO_ASSIGN_OR_RETURN(RelationSchema rel,
-                            FindRelation(input, op.rel, "partition"));
-    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.attr, "partition"));
+                            FindRelation(input, op.rel, op));
+    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.attr, op));
     DatabaseSchema out = input;
     out.open = true;  // data-named relations appear
     return out;
@@ -100,23 +103,23 @@ struct SchemaApplier {
 
   Result<DatabaseSchema> operator()(const ProductOp& op) const {
     if (op.left == op.right) {
-      return Status::InvalidArgument("product: self-product of '" + op.left +
-                                     "'");
+      return Status::InvalidArgument(OpErrorPrefix(op) + "self-product of '" +
+                                     op.left + "'");
     }
     TUPELO_ASSIGN_OR_RETURN(RelationSchema left,
-                            FindRelation(input, op.left, "product"));
+                            FindRelation(input, op.left, op));
     TUPELO_ASSIGN_OR_RETURN(RelationSchema right,
-                            FindRelation(input, op.right, "product"));
+                            FindRelation(input, op.right, op));
     for (const std::string& a : right.attributes) {
       if (left.HasAttribute(a)) {
-        return Status::InvalidArgument("product: attribute '" + a +
+        return Status::InvalidArgument(OpErrorPrefix(op) + "attribute '" + a +
                                        "' appears in both operands");
       }
     }
     std::string result_name = ProductResultName(op);
     if (input.HasRelation(result_name)) {
-      return Status::AlreadyExists("product: relation '" + result_name +
-                                   "' already exists");
+      return Status::AlreadyExists(OpErrorPrefix(op) + "relation '" +
+                                   result_name + "' already exists");
     }
     DatabaseSchema out = input;
     RelationSchema product;
@@ -131,11 +134,11 @@ struct SchemaApplier {
 
   Result<DatabaseSchema> operator()(const DropOp& op) const {
     TUPELO_ASSIGN_OR_RETURN(RelationSchema rel,
-                            FindRelation(input, op.rel, "drop"));
-    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.attr, "drop"));
+                            FindRelation(input, op.rel, op));
+    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.attr, op));
     if (!rel.open && rel.attributes.size() <= 1) {
       return Status::FailedPrecondition(
-          "drop: cannot drop the last column of " + op.rel);
+          OpErrorPrefix(op) + "cannot drop the last column of " + op.rel);
     }
     DatabaseSchema out = input;
     auto it =
@@ -147,16 +150,16 @@ struct SchemaApplier {
 
   Result<DatabaseSchema> operator()(const MergeOp& op) const {
     TUPELO_ASSIGN_OR_RETURN(RelationSchema rel,
-                            FindRelation(input, op.rel, "merge"));
-    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.attr, "merge"));
+                            FindRelation(input, op.rel, op));
+    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.attr, op));
     return input;  // schema unchanged
   }
 
   Result<DatabaseSchema> operator()(const RenameAttrOp& op) const {
     TUPELO_ASSIGN_OR_RETURN(RelationSchema rel,
-                            FindRelation(input, op.rel, "rename_att"));
-    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.from, "rename_att"));
-    TUPELO_RETURN_IF_ERROR(RequireFreshAttribute(rel, op.to, "rename_att"));
+                            FindRelation(input, op.rel, op));
+    TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, op.from, op));
+    TUPELO_RETURN_IF_ERROR(RequireFreshAttribute(rel, op.to, op));
     DatabaseSchema out = input;
     auto it =
         std::find(rel.attributes.begin(), rel.attributes.end(), op.from);
@@ -171,9 +174,9 @@ struct SchemaApplier {
 
   Result<DatabaseSchema> operator()(const RenameRelOp& op) const {
     TUPELO_ASSIGN_OR_RETURN(RelationSchema rel,
-                            FindRelation(input, op.from, "rename_rel"));
+                            FindRelation(input, op.from, op));
     if (input.HasRelation(op.to)) {
-      return Status::AlreadyExists("rename_rel: relation '" + op.to +
+      return Status::AlreadyExists(OpErrorPrefix(op) + "relation '" + op.to +
                                    "' already exists");
     }
     DatabaseSchema out = input;
@@ -185,22 +188,22 @@ struct SchemaApplier {
   Result<DatabaseSchema> operator()(const ApplyFunctionOp& op) const {
     if (registry == nullptr) {
       return Status::FailedPrecondition(
-          "apply: no function registry supplied for λ operator");
+          OpErrorPrefix(op) + "no function registry supplied for λ operator");
     }
     TUPELO_ASSIGN_OR_RETURN(const ComplexFunction* fn,
                             registry->Lookup(op.function));
     if (fn->arity != op.inputs.size()) {
       return Status::InvalidArgument(
-          "apply: function '" + op.function + "' expects " +
+          OpErrorPrefix(op) + "function '" + op.function + "' expects " +
           std::to_string(fn->arity) + " inputs, got " +
           std::to_string(op.inputs.size()));
     }
     TUPELO_ASSIGN_OR_RETURN(RelationSchema rel,
-                            FindRelation(input, op.rel, "apply"));
+                            FindRelation(input, op.rel, op));
     for (const std::string& in : op.inputs) {
-      TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, in, "apply"));
+      TUPELO_RETURN_IF_ERROR(RequireAttribute(rel, in, op));
     }
-    TUPELO_RETURN_IF_ERROR(RequireFreshAttribute(rel, op.out, "apply"));
+    TUPELO_RETURN_IF_ERROR(RequireFreshAttribute(rel, op.out, op));
     DatabaseSchema out = input;
     rel.attributes.push_back(op.out);
     out.relations[op.rel] = std::move(rel);

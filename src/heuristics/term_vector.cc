@@ -144,31 +144,33 @@ std::string DatabaseToTnfString(const Database& db) {
   for (const auto& [rname, relp] : db.relations()) {
     cells += relp->tuples().size() * relp->arity();
   }
-  std::vector<std::string> rows;
-  rows.reserve(cells);
-  size_t total_bytes = 0;
+  // Every row is appended once to `rows_buf`, and `starts` records where
+  // each begins. The views into the buffer are made only once it is
+  // complete, then sorted and copied out in order.
+  std::string rows_buf;
+  std::vector<size_t> starts;
+  starts.reserve(cells + 1);
   for (const auto& [rname, relp] : db.relations()) {
     const Relation& rel = *relp;
     for (const Tuple& t : rel.tuples()) {
       for (size_t i = 0; i < rel.arity(); ++i) {
-        const std::string& att = rel.attributes()[i];
-        const std::string_view v = t[i].is_null()
-                                       ? kBottom
-                                       : std::string_view(t[i].atom());
-        std::string row;
-        row.reserve(rname.size() + att.size() + v.size());
-        row += rname;
-        row += att;
-        row += v;
-        total_bytes += row.size();
-        rows.push_back(std::move(row));
+        starts.push_back(rows_buf.size());
+        rows_buf += rname;
+        rows_buf += rel.attributes()[i];
+        rows_buf += t[i].is_null() ? kBottom : std::string_view(t[i].atom());
       }
     }
   }
+  starts.push_back(rows_buf.size());
+  std::vector<std::string_view> rows;
+  rows.reserve(cells);
+  for (size_t k = 0; k < cells; ++k) {
+    rows.emplace_back(rows_buf.data() + starts[k], starts[k + 1] - starts[k]);
+  }
   std::sort(rows.begin(), rows.end());
   std::string out;
-  out.reserve(total_bytes);
-  for (const std::string& row : rows) out += row;
+  out.reserve(rows_buf.size());
+  for (std::string_view row : rows) out += row;
 
   TnfEncodeStats& stats = ThreadTnfEncodeStats();
   ++stats.encodes;

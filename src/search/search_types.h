@@ -66,9 +66,11 @@ class TraceSession;
 //                          std::span<int> out) const;
 //
 // required to fill out[i] with exactly EstimateCost(*states[i]). The
-// beam-family algorithms funnel whole frontier expansions through it
-// (via EstimateCosts below) so the problem can dedup repeated states and
-// amortize per-call setup; problems that omit it get the per-state loop.
+// beam-family algorithms funnel each expansion's fresh successors through
+// it (via EstimateCosts below) so the problem can amortize per-call
+// setup. A batch holds no repeat when Expand yields distinct successors,
+// as MappingProblem::Expand does, so the batch need not dedup. Problems
+// that omit it get the per-state loop.
 //
 // MappingProblem (src/core) is the real instance; tests use toy problems.
 

@@ -150,6 +150,63 @@ TEST(DatabaseStringTest, IndependentOfTupleOrder) {
   EXPECT_EQ(DatabaseToTnfString(a), DatabaseToTnfString(b));
 }
 
+// DatabaseToTnfString's definition written out plainly, one std::string
+// per row: the reference the one-buffer encoder must match byte for byte.
+std::string TnfStringReference(const Database& db) {
+  std::vector<std::string> rows;
+  for (const auto& [rname, relp] : db.relations()) {
+    for (const Tuple& t : relp->tuples()) {
+      for (size_t i = 0; i < relp->arity(); ++i) {
+        rows.push_back(rname + relp->attributes()[i] +
+                       (t[i].is_null() ? std::string("⊥") : t[i].atom()));
+      }
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  std::string out;
+  for (const std::string& row : rows) out += row;
+  return out;
+}
+
+TEST(DatabaseStringTest, MatchesPerRowReferenceOnRandomDatabases) {
+  // Names and atoms that are prefixes of one another (so rows of
+  // different relations can coincide), multibyte UTF-8, bytes above 0x7f
+  // and the null marker spelled as an atom.
+  const std::vector<std::string> rels = {"R", "RS", "S", "Ü"};
+  const std::vector<std::string> atts = {"A", "SA", "B", "é"};
+  const std::vector<std::string> atoms = {"1", "10", "a", "ab", "é",
+                                          "日本", "⊥", "\xff", "z"};
+  std::mt19937 rng(2006);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  for (int trial = 0; trial < 300; ++trial) {
+    Database db;
+    const size_t relations = pick(4);  // 0..3; an empty database too
+    for (size_t r = 0; r < relations; ++r) {
+      std::vector<std::string> attrs;
+      const size_t arity = 1 + pick(atts.size());
+      for (size_t a = 0; a < arity; ++a) attrs.push_back(atts[a]);
+      std::shuffle(attrs.begin(), attrs.end(), rng);
+      Relation rel = Relation::Create(rels[pick(rels.size())], attrs).value();
+      const size_t rows = pick(5);  // 0..4; empty relations too
+      for (size_t i = 0; i < rows; ++i) {
+        if (i > 0 && pick(4) == 0) {  // a duplicate row
+          ASSERT_TRUE(rel.AddTuple(rel.tuples().back()).ok());
+          continue;
+        }
+        std::vector<Value> cells;
+        for (size_t j = 0; j < arity; ++j) {
+          cells.push_back(pick(4) == 0 ? Value::Null()
+                                       : Value(atoms[pick(atoms.size())]));
+        }
+        ASSERT_TRUE(rel.AddTuple(Tuple(std::move(cells))).ok());
+      }
+      db.PutRelation(std::move(rel));  // a repeated name replaces
+    }
+    EXPECT_EQ(DatabaseToTnfString(db), TnfStringReference(db))
+        << "trial " << trial;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Target symbol index and h1/h2/h3
 // ---------------------------------------------------------------------------

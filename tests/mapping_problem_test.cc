@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/mapping_problem.h"
 #include "fira/builtin_functions.h"
 #include "heuristics/heuristic_factory.h"
+#include "obs/metrics.h"
 #include "relational/io.h"
 #include "workloads/flights.h"
 
@@ -236,6 +238,80 @@ TEST(ExpandTest, BranchingProportionalToInstanceSizes) {
   MappingProblem p = MakeProblem(MakeFlightsB(), MakeFlightsA());
   EXPECT_LE(p.Expand(MakeFlightsB()).size(), 32u);
   EXPECT_GE(p.Expand(MakeFlightsB()).size(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Estimate memo
+// ---------------------------------------------------------------------------
+
+TEST(EstimateMemoTest, FindsEveryValueAcrossGrowth) {
+  EstimateMemo memo;
+  EXPECT_FALSE(memo.Find(Fp128{}).has_value());
+  // 5,000 keys grow the array from 64 slots through seven doublings. The
+  // all-zero key and h = 0 are ordinary entries: occupancy is a flag.
+  constexpr uint64_t kKeys = 5000;
+  auto key = [](uint64_t i) { return Fp128{i == 0 ? 0 : Mix64(i), i}; };
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    memo.Insert(key(i), static_cast<int>(i % 5));
+  }
+  EXPECT_EQ(memo.size(), kKeys);
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    const std::optional<int> h = memo.Find(key(i));
+    ASSERT_TRUE(h.has_value()) << i;
+    EXPECT_EQ(*h, static_cast<int>(i % 5)) << i;
+  }
+  // Both lanes are the key: a lane shared with a stored key is a miss.
+  EXPECT_FALSE(memo.Find(Fp128{Mix64(7), 8}).has_value());
+  EXPECT_FALSE(memo.Find(key(kKeys)).has_value());
+  // A key already present keeps its first value.
+  memo.Insert(key(3), 99);
+  EXPECT_EQ(memo.Find(key(3)), 3);
+  EXPECT_EQ(memo.size(), kKeys);
+
+  memo.Release();
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_FALSE(memo.Find(key(0)).has_value());
+  memo.Insert(key(1), 0);
+  EXPECT_EQ(memo.Find(key(1)), 0);
+}
+
+// The sequential path memoizes and TrimCaches forgets; the batch path
+// evaluates every state it is given and neither reads nor fills the memo.
+TEST(EstimateMemoTest, TrimEmptiesAndTheBatchPathBypassesTheMemo) {
+  Database source = MakeFlightsB();
+  MappingProblem p = MakeProblem(source, MakeFlightsA());
+  obs::MetricRegistry metrics;
+  p.set_metrics(&metrics);
+  auto evals = [&] { return metrics.CounterValue("heuristic.h1.evals"); };
+  auto hits = [&] { return metrics.CounterValue("heuristic.cache_hits"); };
+  const std::vector<MappingProblem::SuccessorT> succ = p.Expand(source);
+  ASSERT_GE(succ.size(), 2u);
+
+  const int h_source = p.EstimateCost(source);
+  EXPECT_EQ(p.EstimateCost(source), h_source);
+  EXPECT_EQ(evals(), 1u);
+  EXPECT_EQ(hits(), 1u);
+  p.TrimCaches();
+  EXPECT_EQ(p.EstimateCost(source), h_source);
+  EXPECT_EQ(evals(), 2u);
+  EXPECT_EQ(hits(), 1u);
+
+  const std::vector<const Database*> batch = {&source, &succ[0].state,
+                                              &succ[1].state};
+  std::vector<int> out(batch.size());
+  p.EstimateCostBatch(batch, out);
+  EXPECT_EQ(evals(), 5u);  // the memoized source is evaluated again
+  EXPECT_EQ(hits(), 1u);
+  EXPECT_EQ(out[0], h_source);
+
+  // The memo holds what it held before the batch: the source, and
+  // neither successor.
+  EXPECT_EQ(p.EstimateCost(source), h_source);
+  EXPECT_EQ(hits(), 2u);
+  EXPECT_EQ(p.EstimateCost(succ[0].state), out[1]);
+  EXPECT_EQ(p.EstimateCost(succ[1].state), out[2]);
+  EXPECT_EQ(evals(), 7u);
+  EXPECT_EQ(hits(), 2u);
 }
 
 }  // namespace

@@ -96,6 +96,8 @@ TEST(ParserTest, ErrorsMentionLine) {
       {"drop(R, A)\ndrop(R)\n", " at line 2"},
       {"drop(R, A)\n\nfrobnicate(R)\n", " at line 3"},
       {"drop(R, A)\napply(R, f, A, O)\n", " at line 2"},
+      {"drop(R, A)\ndemote(R, A)\n",
+       "demote expects 1 argument, got 2 at line 2"},
   };
   for (const auto& [script, where] : cases) {
     Result<MappingExpression> bad = ParseExpression(script);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -95,7 +96,7 @@ std::vector<std::pair<std::string, std::string>> AdversarialPairs() {
       {"a\x1f b\x1e c", "a\x1e b\x1f c"},
       {"⊥⊥⊥", "⊥x⊥"},
       {"ab⊥cd", "abcd"},
-      // Exactly one word, and one-past-one-word (the Myers64/blocked
+      // Exactly one word, and one-past-one-word (the one-word/two-word
       // boundary).
       {std::string(64, 'a'), std::string(64, 'b')},
       {std::string(65, 'a'), std::string(64, 'a') + "b"},
@@ -127,8 +128,69 @@ TEST(SimdEditDistanceTest, MatchesDpOnAdversarialPairs) {
   }
 }
 
+// `s` after `edits` random single-character substitutions, insertions
+// and deletions: a text close to the pattern, where the deltas run both
+// ways, unlike a random text.
+std::string Mutate(Rng& rng, std::string s, size_t edits) {
+  static constexpr std::string_view kBytes = "abzR7\x1f\x1e";
+  for (size_t e = 0; e < edits; ++e) {
+    const size_t at = rng.Below(s.size() + 1);
+    const char c = kBytes[rng.Below(kBytes.size())];
+    switch (rng.Below(3)) {
+      case 0:
+        if (at < s.size()) s[at] = c;
+        break;
+      case 1:
+        s.insert(s.begin() + static_cast<std::ptrdiff_t>(at), c);
+        break;
+      default:
+        if (at < s.size()) s.erase(at, 1);
+        break;
+    }
+  }
+  return s;
+}
+
+// PreparedPattern runs a kernel compiled for each word count from 1 to 6
+// and the generic blocked kernel above that. Pattern lengths one below,
+// at and one above each word boundary cover every width, each partial
+// top block and the fallback, against texts from empty to longer than
+// the pattern.
+TEST(SimdEditDistanceTest, PreparedPatternMatchesDpAtEveryWidth) {
+  Rng rng(0x3a11);
+  for (size_t k = 1; k <= 9; ++k) {
+    for (size_t m : {64 * k - 1, 64 * k, 64 * k + 1}) {
+      const std::string pattern = RandomTnfish(rng, m);
+      const simd::PreparedPattern prepared(pattern);
+      std::vector<std::string> texts;
+      for (size_t n : {size_t{0}, size_t{1}, m / 2, m, m + 70}) {
+        texts.push_back(RandomTnfish(rng, n));
+      }
+      texts.push_back(pattern);
+      texts.push_back(Mutate(rng, pattern, 1));
+      texts.push_back(Mutate(rng, pattern, m / 8));
+      texts.push_back(pattern.substr(1) + "⊥");
+      for (const std::string& text : texts) {
+        EXPECT_EQ(prepared.Distance(text), EditDistanceDp(pattern, text))
+            << "m=" << m << " n=" << text.size();
+      }
+    }
+  }
+}
+
+// The adversarial pairs, then random TNF-alphabet pairs up to 600 bytes:
+// half unrelated, half a pattern and a few edits of it.
 TEST(SimdEditDistanceTest, PreparedPatternMatchesDp) {
-  for (const auto& [a, b] : AdversarialPairs()) {
+  std::vector<std::pair<std::string, std::string>> pairs = AdversarialPairs();
+  Rng rng(0x7e57);
+  for (int i = 0; i < 400; ++i) {
+    std::string pattern = RandomTnfish(rng, 1 + rng.Below(600));
+    std::string text = rng.Below(2) == 0
+                           ? RandomTnfish(rng, rng.Below(600))
+                           : Mutate(rng, pattern, rng.Below(40));
+    pairs.emplace_back(std::move(pattern), std::move(text));
+  }
+  for (const auto& [a, b] : pairs) {
     simd::PreparedPattern prepared(a);
     EXPECT_EQ(prepared.Distance(b), EditDistanceDp(a, b))
         << "|a|=" << a.size() << " |b|=" << b.size();
@@ -225,18 +287,17 @@ TEST(EstimateBatchTest, MatchesSequentialEstimates) {
     expected[i] = problem.EstimateCost(*states[i]);
   }
 
-  problem.TrimCaches();
   std::vector<int> batched(states.size());
   problem.EstimateCostBatch(std::span<const Database* const>(states),
                             std::span<int>(batched));
   EXPECT_EQ(batched, expected);
 
-  // A second batch over warm caches must be pure lookups with the same
-  // answers.
-  std::vector<int> warm(states.size());
+  // The batch path keeps no memo: a second batch evaluates every state
+  // again and must return the same answers.
+  std::vector<int> again(states.size());
   problem.EstimateCostBatch(std::span<const Database* const>(states),
-                            std::span<int>(warm));
-  EXPECT_EQ(warm, expected);
+                            std::span<int>(again));
+  EXPECT_EQ(again, expected);
 }
 
 // TSan section: the kernels called from several threads at once, one

@@ -11,10 +11,14 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <latch>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/thread_pool.h"
 #include "core/tupelo.h"
@@ -33,8 +37,11 @@ using obs::TracePhase;
 using obs::TraceSession;
 using obs::TraceSpan;
 
+// Named after this process too, so that two trace_test processes (two
+// ctest runs, or a repeat loop beside a full suite) never share a file.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return ::testing::TempDir() + "trace_test_" + std::to_string(getpid()) +
+         "_" + name;
 }
 
 Database Tdb(const char* text) {
@@ -197,6 +204,31 @@ TEST(TraceConcurrencyTest, PoolWorkersGetDistinctTracks) {
   }
   EXPECT_EQ(tids.size(), 4u);
   EXPECT_EQ(pool_spans, 4);
+}
+
+// Two tasks that each wait for the other can only finish on two
+// different workers, so their pool.task spans must lie on two tracks.
+TEST(TraceConcurrencyTest, TasksThatMeetRunOnTwoWorkerTracks) {
+  TraceSession session;
+  ThreadPool pool(4);
+  obs::PoolTaskTracer hook(&session);
+  pool.set_trace_hook(&hook);
+  std::latch meet(2);
+  WaitGroup wg;
+  wg.Add(2);
+  for (int i = 0; i < 2; ++i) {
+    pool.Submit([&] {
+      meet.arrive_and_wait();
+      wg.Done();
+    });
+  }
+  wg.Wait();
+
+  std::set<uint32_t> tids;
+  for (const TraceExportEvent& e : session.Collect()) {
+    if (e.name == "pool.task") tids.insert(e.tid);
+  }
+  EXPECT_EQ(tids.size(), 2u);
 }
 
 TEST(TraceConcurrencyTest, ManyThreadsEmittingLosesNothing) {
@@ -369,7 +401,11 @@ TEST(DiscoverTraceTest, EmitsSpansAcrossEveryLayer) {
             session.events_dropped());
 }
 
-TEST(DiscoverTraceTest, ParallelBeamProducesDistinctWorkerTracks) {
+// With a pool, every frontier node is prepared by a pool task, so no
+// beam.prepare span may sit on the calling thread's track. How many
+// workers share the tasks is up to the scheduler; that several can is
+// TasksThatMeetRunOnTwoWorkerTracks above.
+TEST(DiscoverTraceTest, ParallelBeamPreparesOnWorkerTracks) {
   SyntheticMatchingPair pair = MakeSyntheticMatchingPair(6);
   Tupelo system(pair.source, pair.target);
   TraceSession session;
@@ -381,14 +417,19 @@ TEST(DiscoverTraceTest, ParallelBeamProducesDistinctWorkerTracks) {
   Result<TupeloResult> r = system.Discover(options);
   ASSERT_TRUE(r.ok()) << r.status();
 
-  std::set<uint32_t> worker_tids;
-  for (const TraceExportEvent& e : session.Collect()) {
-    if (e.name == "pool.task" || e.name == "beam.prepare") {
-      worker_tids.insert(e.tid);
-    }
+  const std::vector<TraceExportEvent> events = session.Collect();
+  std::optional<uint32_t> caller_tid;
+  for (const TraceExportEvent& e : events) {
+    if (e.name == "discover") caller_tid = e.tid;
   }
-  EXPECT_GE(worker_tids.size(), 2u)
-      << "parallel beam tasks should land on several worker tracks";
+  ASSERT_TRUE(caller_tid.has_value());
+  int prepares = 0;
+  for (const TraceExportEvent& e : events) {
+    if (e.name != "beam.prepare") continue;
+    ++prepares;
+    EXPECT_NE(e.tid, *caller_tid) << "beam.prepare ran on the caller";
+  }
+  EXPECT_GT(prepares, 0);
 }
 
 TEST(DiscoverTraceTest, FlightRecorderDumpsOnResourceStop) {
