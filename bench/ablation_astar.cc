@@ -12,7 +12,7 @@
 #include "bench_util.h"
 #include "core/mapping_problem.h"
 #include "heuristics/heuristic_factory.h"
-#include "search/a_star.h"
+#include "search/best_first.h"
 #include "search/ida_star.h"
 #include "search/rbfs.h"
 #include "workloads/synthetic.h"
@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
       SearchOutcome<Op> outcome;
       switch (algo) {
         case SearchAlgorithm::kAStar:
-          outcome = AStarSearch(problem, limits, {metrics, trace.session()});
+          outcome = BestFirstSearch(problem, BestFirstOrder::kAStar, limits,
+                                    {metrics, trace.session()});
           break;
         case SearchAlgorithm::kIda:
           outcome = IdaStarSearch(problem, limits, {metrics, trace.session()});

@@ -1,7 +1,8 @@
 # End-to-end smoke test for the tupelo_cli example: a discovery, the
-# documented per-StopReason exit codes, usage errors, a resume from a
-# missing checkpoint, and --apply. The .tdb inputs are written into
-# WORK_DIR, so the test reads nothing from the source tree.
+# documented per-StopReason exit codes, usage errors (malformed numeric
+# flags among them), a resume from a missing checkpoint, and --apply. The
+# .tdb inputs are written into WORK_DIR, so the test reads nothing from
+# the source tree.
 #
 # Expected -D variables:
 #   CLI      - path to the tupelo_cli binary
@@ -59,6 +60,12 @@ run_cli("state budget" 8 out "${source}" "${target}" --max-states=1)
 run_cli("depth bound" 9 out "${source}" "${constant}" --max-depth=3)
 run_cli("unknown flag" 2 out "${source}" "${target}" --no-such-flag)
 run_cli("--portfolio" 2 out "${source}" "${target}" --portfolio)
+run_cli("non-numeric --max-states" 2 out "${source}" "${target}"
+        --max-states=abc)
+run_cli("out-of-range --max-depth" 2 out "${source}" "${target}"
+        --max-depth=99999999999)
+run_cli("negative --beam-width" 2 out "${source}" "${target}" --algo=beam
+        --beam-width=-1 --max-states=100)
 
 set(checkpoint "${WORK_DIR}/never_written.tck")
 run_cli("resume from a missing checkpoint" 0 out "${source}" "${target}"

@@ -12,9 +12,8 @@
 #include "common/thread_pool.h"
 #include "core/checkpoint.h"
 #include "fira/optimizer.h"
-#include "search/a_star.h"
 #include "search/beam.h"
-#include "search/greedy.h"
+#include "search/best_first.h"
 #include "search/ida_star.h"
 #include "search/rbfs.h"
 
@@ -77,11 +76,11 @@ SearchOutcome<Op> RunRung(SearchAlgorithm algorithm,
     }
     case SearchAlgorithm::kAStar: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.astar");
-      return AStarSearch(problem, limits, ctx);
+      return BestFirstSearch(problem, BestFirstOrder::kAStar, limits, ctx);
     }
     case SearchAlgorithm::kGreedy: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.greedy");
-      return GreedySearch(problem, limits, ctx);
+      return BestFirstSearch(problem, BestFirstOrder::kGreedy, limits, ctx);
     }
     case SearchAlgorithm::kBeam: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.beam");
@@ -283,6 +282,16 @@ Result<Plan> PlanDiscover(const TupeloOptions& options, const Tupelo& tupelo) {
   if (plan.ladder.empty()) {
     plan.ladder.push_back(DegradationRung{options.algorithm, 1.0});
   }
+  // A zero-width beam examines nothing and would report a conclusive
+  // "exhausted".
+  if (options.beam_width == 0 &&
+      std::any_of(plan.ladder.begin(), plan.ladder.end(),
+                  [](const DegradationRung& rung) {
+                    return rung.algorithm == SearchAlgorithm::kBeam;
+                  })) {
+    return Status::InvalidArgument(
+        "TupeloOptions::beam_width must be at least 1 for a beam rung");
+  }
   plan.start = Clock::now();
   plan.states_left = options.limits.max_states;
   plan.deadline_millis = options.limits.deadline_millis;
@@ -383,8 +392,7 @@ class LadderRun {
     cancel_ =
         kill_token_ != nullptr ? kill_token_.get() : options.limits.cancel;
     if (options.supervisor.enabled) {
-      quarantine_ = std::make_unique<StateQuarantine>(
-          options.supervisor.quarantine_capacity);
+      quarantine_ = std::make_unique<StateQuarantine>();
       supervisor_ = std::make_unique<runtime::Supervisor>(options.supervisor,
                                                           metrics_, trace_);
     }

@@ -7,11 +7,8 @@ namespace tupelo::runtime {
 
 namespace {
 
-// Watermark in nodes for a fraction of the bound; a fraction <= 0
-// disables the stage, a fraction >= 1 coincides with the hard limit.
+// Watermark in nodes for a fraction of the bound.
 uint64_t Watermark(uint64_t max_nodes, double fraction) {
-  if (max_nodes == 0 || fraction <= 0.0) return 0;
-  if (fraction >= 1.0) return max_nodes;
   return static_cast<uint64_t>(static_cast<double>(max_nodes) * fraction);
 }
 
@@ -89,11 +86,11 @@ void Supervisor::TickLocked(std::chrono::steady_clock::time_point now) {
     // needs to avoid stalling later.
     if (w.spec.max_memory_nodes > 0) {
       const uint64_t soft =
-          Watermark(w.spec.max_memory_nodes, config_.memory_soft_fraction);
+          Watermark(w.spec.max_memory_nodes, kMemorySoftFraction);
       const uint64_t trim =
-          Watermark(w.spec.max_memory_nodes, config_.memory_trim_fraction);
+          Watermark(w.spec.max_memory_nodes, kMemoryTrimFraction);
       const uint64_t hard =
-          Watermark(w.spec.max_memory_nodes, config_.memory_hard_fraction);
+          Watermark(w.spec.max_memory_nodes, kMemoryHardFraction);
       if (w.memory_stage < 1 && soft > 0 && memory >= soft) {
         w.memory_stage = 1;
         if (w.spec.memory_relief) w.spec.memory_relief();

@@ -38,12 +38,12 @@ namespace tupelo::runtime {
 //  * Memory. When a watch declares `max_memory_nodes`, the watchdog
 //    stages degradation against watermark fractions of that bound
 //    instead of letting the BudgetGuard trip a hard kMemory:
-//      soft  (memory_soft_fraction)  -> run the watch's `memory_relief`
+//      soft  (kMemorySoftFraction)   -> run the watch's `memory_relief`
 //                                       callback (shrink the Expand LRU
 //                                       and estimate caches);
-//      trim  (memory_trim_fraction)  -> raise `width_pressure`, halving
+//      trim  (kMemoryTrimFraction)   -> raise `width_pressure`, halving
 //                                       the effective beam width;
-//      hard  (memory_hard_fraction)  -> preempt the rung (PreemptReason
+//      hard  (kMemoryHardFraction)   -> preempt the rung (PreemptReason
 //                                       kMemory; the driver degrades to
 //                                       the next rung).
 //    Stages only move forward within one watch; each transition fires at
@@ -57,6 +57,11 @@ namespace tupelo::runtime {
 // mutex during a tick. Preemption state is sticky until Unwatch, so the
 // driver can interrogate why a rung stopped after it returns.
 
+// Memory watermarks, as fractions of a watch's max_memory_nodes.
+inline constexpr double kMemorySoftFraction = 0.70;
+inline constexpr double kMemoryTrimFraction = 0.85;
+inline constexpr double kMemoryHardFraction = 0.95;
+
 // Knobs for Tupelo::Discover's supervised mode (TupeloOptions::supervisor)
 // and for standalone Supervisor users. Defaults favour interactive runs:
 // a 500 ms stall window preempts a hung rung within about half a second.
@@ -68,16 +73,10 @@ struct SupervisorConfig {
   int64_t tick_millis = 20;
   // No heartbeat/progress for this long => the rung is hung.
   int64_t stall_window_millis = 500;
-  // Memory watermarks, as fractions of the watch's max_memory_nodes.
-  double memory_soft_fraction = 0.70;
-  double memory_trim_fraction = 0.85;
-  double memory_hard_fraction = 0.95;
   // Stall-preempted rungs are retried this many times before the ladder
   // advances; the pause before retry i doubles each time.
   int max_rung_retries = 1;
   int64_t retry_backoff_millis = 20;
-  // Bound on the poison-state denylist (see StateQuarantine).
-  size_t quarantine_capacity = 1024;
 };
 
 // Why the supervisor cancelled a watch's preempt token (kNone: it did

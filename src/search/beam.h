@@ -10,9 +10,8 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "search/instrumentation.h"
+#include "search/ledger.h"
 #include "search/search_types.h"
-#include "search/trace.h"
 
 namespace tupelo {
 
@@ -77,14 +76,11 @@ SearchOutcome<typename P::Action> BeamSearch(
 
   if (pool != nullptr && pool->size() <= 1) pool = nullptr;
   obs::TraceSession* trace = ctx.trace;
-  SearchOutcome<Action> outcome;
-  SearchInstrumentation instr(ctx.metrics);
-  SearchTraceEmitter emit(trace);
+  SearchLedger ledger(limits, ctx);
   obs::TraceSpan search_span(
       trace, obs::TraceCategory::kSearch, "search.beam", "workers",
       static_cast<int64_t>(pool == nullptr ? 1 : pool->size()));
-  if (beam_width == 0) return outcome;
-  CheckpointSink<State, Action>* const sink = ctx.sink;
+  if (beam_width == 0) return ledger.Release();
 
   obs::Counter* levels = nullptr;
   obs::Counter* tasks = nullptr;
@@ -176,7 +172,6 @@ SearchOutcome<typename P::Action> BeamSearch(
     frontier.push_back(Node{root, {}, problem.EstimateCost(root)});
   }
 
-  BudgetGuard guard(limits, sink != nullptr);
   WaitGroup wg;
 
   for (int depth = start_depth; depth <= limits.max_depth; ++depth) {
@@ -184,15 +179,9 @@ SearchOutcome<typename P::Action> BeamSearch(
     // level's expansions.
     uint64_t nodes = static_cast<uint64_t>(frontier.size() + seen.size()) +
                      AuxMemoryNodes(problem);
-    outcome.stats.peak_memory_nodes =
-        std::max(outcome.stats.peak_memory_nodes, nodes);
-    instr.OnPeakMemory(nodes);
-    if (sink != nullptr &&
-        sink->WantSnapshot(outcome.stats.states_examined)) {
-      SearchSeed<State, Action> snap;
-      snap.states_examined = outcome.stats.states_examined;
-      snap.best_path = outcome.best_path;
-      snap.best_h = outcome.best_h;
+    ledger.Memory(nodes);
+    if (ledger.SnapshotWanted()) {
+      SearchSeed<State, Action> snap = ledger.Snapshot();
       snap.beam_depth = depth;
       snap.frontier.reserve(frontier.size());
       for (const Node& node : frontier) {
@@ -200,13 +189,13 @@ SearchOutcome<typename P::Action> BeamSearch(
       }
       snap.closed.reserve(seen.size());
       for (const Fp128& fp : seen) snap.closed.emplace_back(fp, 0);
-      sink->OnSnapshot(std::move(snap));
+      ledger.Offer(std::move(snap));
     }
     int64_t level_best_h = frontier.front().h;
     for (const Node& node : frontier) {
       level_best_h = std::min(level_best_h, node.h);
     }
-    emit.Iteration(depth, level_best_h);
+    ledger.Level(depth, level_best_h);
     if (levels != nullptr) levels->Increment();
     obs::TraceSpan level_span(trace, obs::TraceCategory::kSearch,
                               "beam.level", "level", depth, "best_h",
@@ -250,38 +239,24 @@ SearchOutcome<typename P::Action> BeamSearch(
       Node& node = frontier[i];
       // Depth is bounded by the level loop itself; pass 0 so the guard
       // only trips states/memory/deadline/cancel here.
-      if (std::optional<StopReason> stop =
-              guard.Check(outcome.stats.states_examined, 0, nodes)) {
-        outcome.stop = *stop;
-        return outcome;
+      if (ledger.Stopped(0, nodes)) return ledger.Release();
+      ledger.Count();
+      if (ledger.Visit(depth, node.h, node.h)) {
+        ledger.outcome().best_path = node.path;
       }
-      ++outcome.stats.states_examined;
-      instr.OnVisit();
-      if (outcome.best_h < 0 || node.h < outcome.best_h) {
-        outcome.best_h = static_cast<int>(node.h);
-        outcome.best_path = node.path;
-      }
-      emit.Visit(depth, node.h);
 
       Prepared& prep = prepared[i];
       if (!prep.ready) prepare(node, prep);
 
       if (prep.is_goal) {
-        emit.Goal(depth);
-        outcome.found = true;
-        outcome.stop = StopReason::kFound;
-        outcome.stats.solution_cost = static_cast<int>(node.path.size());
-        outcome.path = std::move(node.path);
-        outcome.best_path = outcome.path;
-        outcome.best_h = 0;
-        return outcome;
+        ledger.Goal(depth, std::move(node.path));
+        return ledger.Release();
       }
 
-      outcome.stats.states_generated += prep.successors.size();
-      instr.OnExpand(prep.successors.size());
+      ledger.Expand(prep.successors.size());
       for (size_t s = 0; s < prep.successors.size(); ++s) {
         if (!seen.insert(prep.keys[s]).second) {
-          instr.OnDuplicateHit();
+          ledger.Duplicate();
           continue;
         }
         fresh.push_back(Fresh{std::move(prep.successors[s].state),
@@ -290,7 +265,7 @@ SearchOutcome<typename P::Action> BeamSearch(
       }
       prep = Prepared{};  // drop the duplicates now, not at the level's end
     }
-    if (fresh.empty()) return outcome;  // beam ran dry
+    if (fresh.empty()) return ledger.Release();  // beam ran dry
 
     // Keep the level_width best by h, ties in generation order: the order
     // a stable sort by h gives. The supervisor can narrow the effective
@@ -301,7 +276,7 @@ SearchOutcome<typename P::Action> BeamSearch(
     std::vector<size_t> order(fresh.size());
     std::iota(order.begin(), order.end(), size_t{0});
     if (fresh.size() > level_width) {
-      emit.BeamDrop(depth, static_cast<int64_t>(fresh.size() - level_width));
+      ledger.BeamDrop(depth, static_cast<int64_t>(fresh.size() - level_width));
       std::partial_sort(order.begin(), order.begin() + level_width,
                         order.end(), [&fresh](size_t a, size_t b) {
                           return std::tie(fresh[a].h, a) <
@@ -322,8 +297,8 @@ SearchOutcome<typename P::Action> BeamSearch(
     }
     frontier = std::move(next_level);
   }
-  outcome.stop = StopReason::kDepth;  // level loop ran out of depth budget
-  return outcome;
+  ledger.outcome().stop = StopReason::kDepth;  // levels ran out of depth
+  return ledger.Release();
 }
 
 }  // namespace tupelo

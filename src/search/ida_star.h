@@ -5,9 +5,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "search/instrumentation.h"
+#include "search/ledger.h"
 #include "search/search_types.h"
-#include "search/trace.h"
 
 namespace tupelo {
 
@@ -34,97 +33,61 @@ SearchOutcome<typename P::Action> IdaStarSearch(
   using Action = typename P::Action;
   using State = typename P::State;
 
-  SearchOutcome<Action> outcome;
-  SearchInstrumentation instr(ctx.metrics);
-  SearchTraceEmitter emit(ctx.trace);
+  SearchLedger ledger(limits, ctx);
   obs::TraceSpan search_span(ctx.trace, obs::TraceCategory::kSearch,
                              "search.ida");
-  CheckpointSink<State, Action>* const sink = ctx.sink;
 
   struct Dfs {
     const P& problem;
     const SearchLimits& limits;
-    SearchOutcome<Action>& out;
-    SearchTraceEmitter& emit;
-    SearchInstrumentation& instr;
-    BudgetGuard& guard;
-    CheckpointSink<State, Action>* sink;
+    SearchLedger<State, Action>& ledger;
     std::vector<Action> path_actions;
     std::unordered_set<Fp128, Fp128Hash> path_keys;
     int64_t next_bound = kSearchInfinity;
-    StopReason abort_reason = StopReason::kExhausted;
-    bool aborted = false;
 
-    enum class Verdict { kFound, kNotFound };
-
-    Verdict Visit(const State& state, int64_t g, int64_t bound) {
+    // Returns with ledger.done() once the goal is reached or the budget
+    // trips.
+    void Visit(const State& state, int64_t g, int64_t bound) {
       uint64_t memory_nodes =
           static_cast<uint64_t>(g) + 1 + AuxMemoryNodes(problem);
-      if (std::optional<StopReason> stop = guard.Check(
-              out.stats.states_examined, g, memory_nodes)) {
-        aborted = true;
-        abort_reason = *stop;
-        return Verdict::kNotFound;
-      }
-      if (sink != nullptr && guard.checkpoint_due() &&
-          sink->WantSnapshot(out.stats.states_examined)) {
-        SearchSeed<State, Action> snap;
-        snap.states_examined = out.stats.states_examined;
-        snap.best_path = out.best_path;
-        snap.best_h = out.best_h;
+      if (ledger.Stopped(g, memory_nodes)) return;
+      if (ledger.SnapshotDue()) {
+        SearchSeed<State, Action> snap = ledger.Snapshot();
         snap.ida_bound = bound;
-        sink->OnSnapshot(std::move(snap));
+        ledger.Offer(std::move(snap));
       }
-      ++out.stats.states_examined;
-      out.stats.peak_memory_nodes =
-          std::max(out.stats.peak_memory_nodes, memory_nodes);
-      instr.OnVisit();
-      instr.OnPeakMemory(memory_nodes);
+      ledger.Count();
+      ledger.Memory(memory_nodes);
 
       int64_t f = g + problem.EstimateCost(state);
-      if (int h = static_cast<int>(f - g); out.best_h < 0 || h < out.best_h) {
-        out.best_h = h;
-        out.best_path = path_actions;
-      }
-      emit.Visit(static_cast<int>(g), f);
+      if (ledger.Visit(g, f, f - g)) ledger.outcome().best_path = path_actions;
       if (f > bound) {
         next_bound = std::min(next_bound, f);
-        return Verdict::kNotFound;
+        return;
       }
       if (problem.IsGoal(state)) {
-        emit.Goal(static_cast<int>(g));
-        out.found = true;
-        out.stop = StopReason::kFound;
-        out.path = path_actions;
-        out.best_path = path_actions;
-        out.best_h = 0;
-        out.stats.solution_cost = static_cast<int>(g);
-        return Verdict::kFound;
+        ledger.Goal(g, path_actions);
+        return;
       }
       auto successors = GuardedExpand(problem, state, limits.quarantine);
-      out.stats.states_generated += successors.size();
-      instr.OnExpand(successors.size());
+      ledger.Expand(successors.size());
       for (auto& succ : successors) {
         Fp128 key = StateFingerprint(problem, succ.state);
         if (path_keys.contains(key)) {
-          instr.OnDuplicateHit();
+          ledger.Duplicate();
           continue;
         }
         path_keys.insert(key);
         path_actions.push_back(succ.action);
-        Verdict v = Visit(succ.state, g + 1, bound);
+        Visit(succ.state, g + 1, bound);
         path_actions.pop_back();
         path_keys.erase(key);
-        if (v == Verdict::kFound || aborted) return v;
+        if (ledger.done()) return;
       }
-      return Verdict::kNotFound;
     }
   };
 
-  BudgetGuard guard(limits, sink != nullptr);
-  Dfs dfs{problem, limits, outcome, emit,
-          instr,   guard,  sink,    {},      {},
-          kSearchInfinity, StopReason::kExhausted, false};
+  Dfs dfs{problem, limits, ledger, {}, {}, kSearchInfinity};
 
   const State& root = problem.initial_state();
   Fp128 root_key = StateFingerprint(problem, root);
@@ -136,25 +99,20 @@ SearchOutcome<typename P::Action> IdaStarSearch(
   }
 
   while (true) {
-    emit.Iteration(0, bound);
-    instr.OnIteration(bound);
+    ledger.Iteration(bound);
     obs::TraceSpan iter_span(ctx.trace, obs::TraceCategory::kSearch,
                              "ida.iteration", "bound", bound);
     dfs.next_bound = kSearchInfinity;
     dfs.path_keys = {root_key};
     dfs.path_actions.clear();
-    uint64_t states_before = outcome.stats.states_examined;
-    typename Dfs::Verdict v = dfs.Visit(root, 0, bound);
-    ++outcome.stats.iterations;
-    iter_span.SetEndArg("states", static_cast<int64_t>(
-                                      outcome.stats.states_examined -
-                                      states_before));
-    if (v == Dfs::Verdict::kFound) return outcome;
-    if (dfs.aborted) {
-      outcome.stop = dfs.abort_reason;
-      return outcome;
+    uint64_t states_before = ledger.examined();
+    dfs.Visit(root, 0, bound);
+    iter_span.SetEndArg(
+        "states", static_cast<int64_t>(ledger.examined() - states_before));
+    // A goal, a budget trip, or an exhausted space ends the search.
+    if (ledger.done() || dfs.next_bound >= kSearchInfinity) {
+      return ledger.Release();
     }
-    if (dfs.next_bound >= kSearchInfinity) return outcome;  // space exhausted
     bound = dfs.next_bound;
   }
 }

@@ -6,9 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "search/instrumentation.h"
+#include "search/ledger.h"
 #include "search/search_types.h"
-#include "search/trace.h"
 
 namespace tupelo {
 
@@ -37,12 +36,9 @@ SearchOutcome<typename P::Action> RbfsSearch(
   using Action = typename P::Action;
   using State = typename P::State;
 
-  SearchOutcome<Action> outcome;
-  SearchInstrumentation instr(ctx.metrics);
-  SearchTraceEmitter emit(ctx.trace);
+  SearchLedger ledger(limits, ctx);
   obs::TraceSpan search_span(ctx.trace, obs::TraceCategory::kSearch,
                              "search.rbfs");
-  CheckpointSink<State, Action>* const sink = ctx.sink;
 
   struct Child {
     Action action;
@@ -55,69 +51,39 @@ SearchOutcome<typename P::Action> RbfsSearch(
   struct Rec {
     const P& problem;
     const SearchLimits& limits;
-    SearchOutcome<Action>& out;
-    SearchTraceEmitter& emit;
-    SearchInstrumentation& instr;
-    BudgetGuard& guard;
-    CheckpointSink<State, Action>* sink;
+    SearchLedger<State, Action>& ledger;
     std::vector<Action> path_actions;
     std::unordered_set<Fp128, Fp128Hash> path_keys;
-    StopReason abort_reason = StopReason::kExhausted;
-    bool aborted = false;
 
-    // Returns (found, backed-up f-value). `static_f` is g + h of `state`;
-    // `stored_f` its current backed-up value (≥ static_f).
-    std::pair<bool, int64_t> Visit(const State& state, int64_t g,
-                                   int64_t static_f, int64_t stored_f,
-                                   int64_t f_limit) {
+    // Returns the backed-up f-value. `static_f` is g + h of `state`;
+    // `stored_f` its current backed-up value (≥ static_f). Returns with
+    // ledger.done() once the goal is reached or the budget trips.
+    int64_t Visit(const State& state, int64_t g, int64_t static_f,
+                  int64_t stored_f, int64_t f_limit) {
       uint64_t memory_nodes =
           static_cast<uint64_t>(g) + 1 + AuxMemoryNodes(problem);
-      if (std::optional<StopReason> stop = guard.Check(
-              out.stats.states_examined, g, memory_nodes)) {
-        aborted = true;
-        abort_reason = *stop;
-        return {false, kSearchInfinity};
+      if (ledger.Stopped(g, memory_nodes)) return kSearchInfinity;
+      // Progress only; no resumable core.
+      if (ledger.SnapshotDue()) ledger.Offer(ledger.Snapshot());
+      ledger.Count();
+      ledger.Memory(memory_nodes);
+      if (ledger.Visit(g, static_f, static_f - g)) {
+        ledger.outcome().best_path = path_actions;
       }
-      if (sink != nullptr && guard.checkpoint_due() &&
-          sink->WantSnapshot(out.stats.states_examined)) {
-        SearchSeed<State, Action> snap;  // progress only; no resumable core
-        snap.states_examined = out.stats.states_examined;
-        snap.best_path = out.best_path;
-        snap.best_h = out.best_h;
-        sink->OnSnapshot(std::move(snap));
-      }
-      ++out.stats.states_examined;
-      out.stats.peak_memory_nodes =
-          std::max(out.stats.peak_memory_nodes, memory_nodes);
-      instr.OnVisit();
-      instr.OnPeakMemory(memory_nodes);
-      if (int h = static_cast<int>(static_f - g);
-          out.best_h < 0 || h < out.best_h) {
-        out.best_h = h;
-        out.best_path = path_actions;
-      }
-      emit.Visit(static_cast<int>(g), static_f);
 
       if (problem.IsGoal(state)) {
-        emit.Goal(static_cast<int>(g));
-        out.found = true;
-        out.stop = StopReason::kFound;
-        out.path = path_actions;
-        out.best_path = path_actions;
-        out.best_h = 0;
-        out.stats.solution_cost = static_cast<int>(g);
-        return {true, stored_f};
+        ledger.Goal(g, path_actions);
+        return stored_f;
       }
 
       auto successors = GuardedExpand(problem, state, limits.quarantine);
-      out.stats.states_generated += successors.size();
-      instr.OnExpand(successors.size());
+      ledger.Expand(successors.size());
       std::vector<Child> children;
       children.reserve(successors.size());
       for (auto& succ : successors) {
         Fp128 key = StateFingerprint(problem, succ.state);
         if (path_keys.contains(key)) {
-          instr.OnDuplicateHit();
+          ledger.Duplicate();
           continue;
         }
         int64_t f = g + 1 + problem.EstimateCost(succ.state);
@@ -129,7 +95,7 @@ SearchOutcome<typename P::Action> RbfsSearch(
                                  std::move(succ.state), key, f,
                                  child_stored});
       }
-      if (children.empty()) return {false, kSearchInfinity};
+      if (children.empty()) return kSearchInfinity;
 
       while (true) {
         // Identify best and second-best children by stored f.
@@ -139,7 +105,7 @@ SearchOutcome<typename P::Action> RbfsSearch(
         }
         if (children[best].stored_f > f_limit ||
             children[best].stored_f >= kSearchInfinity) {
-          return {false, children[best].stored_f};
+          return children[best].stored_f;
         }
         int64_t alternative = kSearchInfinity;
         for (size_t i = 0; i < children.size(); ++i) {
@@ -149,30 +115,23 @@ SearchOutcome<typename P::Action> RbfsSearch(
         }
         path_keys.insert(children[best].key);
         path_actions.push_back(children[best].action);
-        auto [found, backed_up] =
+        int64_t backed_up =
             Visit(children[best].state, g + 1, children[best].static_f,
                   children[best].stored_f, std::min(f_limit, alternative));
-        if (found) return {true, backed_up};
         path_actions.pop_back();
         path_keys.erase(children[best].key);
-        if (aborted) return {false, kSearchInfinity};
+        if (ledger.done()) return kSearchInfinity;
         children[best].stored_f = backed_up;
       }
     }
   };
 
-  BudgetGuard guard(limits, sink != nullptr);
-  Rec rec{problem, limits, outcome, emit, instr, guard, sink,
-          {},      {},     StopReason::kExhausted, false};
+  Rec rec{problem, limits, ledger, {}, {}};
   const State& root = problem.initial_state();
   rec.path_keys.insert(StateFingerprint(problem, root));
   int64_t root_f = problem.EstimateCost(root);
-  auto [found, backed_up] =
-      rec.Visit(root, 0, root_f, root_f, kSearchInfinity);
-  (void)found;
-  (void)backed_up;
-  if (rec.aborted) outcome.stop = rec.abort_reason;
-  return outcome;
+  rec.Visit(root, 0, root_f, root_f, kSearchInfinity);
+  return ledger.Release();
 }
 
 }  // namespace tupelo

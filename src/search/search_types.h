@@ -500,7 +500,7 @@ struct SearchStats {
   uint64_t states_examined = 0;
   // Successor states produced by Expand.
   uint64_t states_generated = 0;
-  // IDA: completed depth-bound iterations; RBFS/A*: unused (0).
+  // IDA*: depth-bound iterations run; the other algorithms leave it 0.
   int iterations = 0;
   // A*: peak open+closed entries; IDA/RBFS: peak recursion depth. A proxy
   // for memory footprint (the paper's motivation for dropping plain A*).
@@ -510,11 +510,11 @@ struct SearchStats {
 };
 
 // The optional, nullable companions of one search call, shared by every
-// algorithm's signature: `metrics` feeds the search.* instruments
-// (search/instrumentation.h), `trace` receives spans and visit/goal/
-// iteration instants (search/trace.h), `seed` resumes the algorithm from a
-// checkpointed core (see SearchSeed), and `sink` receives snapshots of
-// that core as the search runs (see CheckpointSink). A
+// algorithm's signature: `metrics` feeds the search.* instruments and
+// `trace` receives spans and the visit/goal/iteration instants (both
+// recorded through search/ledger.h's SearchLedger), `seed` resumes the
+// algorithm from a checkpointed core (see SearchSeed), and `sink` receives
+// snapshots of that core as the search runs (see CheckpointSink). A
 // default-constructed context is a plain, unobserved search from the root.
 template <typename State, typename Action>
 struct SearchContext {

@@ -95,7 +95,11 @@ Result<JobSpec> SpecFromJson(const obs::JsonValue& v) {
   spec.heuristic = GetString(v, "heuristic", "h1");
   spec.deadline_millis = GetInt(v, "deadline_millis");
   spec.max_states = static_cast<uint64_t>(GetInt(v, "max_states"));
-  spec.beam_width = static_cast<size_t>(GetInt(v, "beam_width", 8));
+  const int64_t beam_width = GetInt(v, "beam_width", 8);
+  if (beam_width < 1) {
+    return Status::InvalidArgument("job spec: beam_width must be at least 1");
+  }
+  spec.beam_width = static_cast<size_t>(beam_width);
   spec.supervise = GetBool(v, "supervise");
   spec.cancel_on_disconnect = GetBool(v, "cancel_on_disconnect");
   // Validate what would otherwise only explode inside a worker: the

@@ -63,7 +63,7 @@ TEST(ScopedTimerTest, AccumulatesElapsedNanos) {
     // Do a little work so the clock moves; even 0 is legal, but two scopes
     // must both be recorded.
     volatile int x = 0;
-    for (int i = 0; i < 1000; ++i) x += i;
+    for (int i = 0; i < 1000; ++i) x = x + i;
   }
   { ScopedTimer t(&nanos); }
   EXPECT_EQ(hist.count(), 1u);

@@ -11,9 +11,8 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "search/a_star.h"
 #include "search/beam.h"
-#include "search/greedy.h"
+#include "search/best_first.h"
 #include "search/ida_star.h"
 #include "search/rbfs.h"
 #include "search/search_types.h"
@@ -93,9 +92,9 @@ SearchOutcome<typename P::Action> RunSearch(Algo algo, const P& problem,
     case Algo::kRbfs:
       return RbfsSearch(problem, limits);
     case Algo::kAStar:
-      return AStarSearch(problem, limits);
+      return BestFirstSearch(problem, BestFirstOrder::kAStar, limits);
     case Algo::kGreedy:
-      return GreedySearch(problem, limits);
+      return BestFirstSearch(problem, BestFirstOrder::kGreedy, limits);
   }
   return {};
 }
@@ -359,7 +358,7 @@ TEST(AStarTest, TracksOpenClosedMemory) {
   p.goal = 50;
   SearchLimits limits;
   limits.max_depth = 200;
-  auto out = AStarSearch(p, limits);
+  auto out = BestFirstSearch(p, BestFirstOrder::kAStar, limits);
   ASSERT_TRUE(out.found);
   // A* keeps every generated state: memory exceeds the solution depth.
   EXPECT_GT(out.stats.peak_memory_nodes, 50u);
@@ -371,7 +370,7 @@ TEST(AStarTest, ReopensWhenShorterPathFound) {
   p.edges = {{0, {2, 1}}, {2, {1}}, {1, {9}}};
   p.goal = 9;
   p.h = {{0, 0}, {1, 0}, {2, 0}, {9, 0}};
-  auto out = AStarSearch(p);
+  auto out = BestFirstSearch(p, BestFirstOrder::kAStar);
   ASSERT_TRUE(out.found);
   EXPECT_EQ(out.stats.solution_cost, 2);  // 0→1→9
 }
@@ -753,10 +752,12 @@ TEST(TraceTest, VisitCountsMatchStatsAcrossAlgorithms) {
         out = RbfsSearch(p, SearchLimits(), ctx);
         break;
       case 2:
-        out = AStarSearch(p, SearchLimits(), ctx);
+        out = BestFirstSearch(p, BestFirstOrder::kAStar, SearchLimits(),
+                              ctx);
         break;
       case 3:
-        out = GreedySearch(p, SearchLimits(), ctx);
+        out = BestFirstSearch(p, BestFirstOrder::kGreedy, SearchLimits(),
+                              ctx);
         break;
       case 4:
         out = BeamSearch(p, 4, SearchLimits(), ctx);
@@ -798,7 +799,8 @@ TEST(TraceTest, BeamRecordsLevelEvents) {
 
 // The shared toy problem for metric-consistency checks: a diamond with a
 // back edge to the start, so duplicate detection fires on every algorithm
-// (path-cycle checks in IDA*/RBFS, closed/best-g checks in A*/greedy).
+// (path-cycle checks in IDA*/RBFS, closed/best-g checks in A*/greedy, the
+// dedup set in beam).
 GraphProblem MetricsProblem() {
   GraphProblem p;
   p.edges = {{0, {1, 2}}, {1, {0, 3}}, {2, {3}}, {3, {4}}};
@@ -808,24 +810,33 @@ GraphProblem MetricsProblem() {
 
 TEST(SearchMetricsTest, CountersMatchStatsAcrossAlgorithms) {
   GraphProblem p = MetricsProblem();
-  for (Algo algo : {Algo::kIda, Algo::kRbfs, Algo::kAStar, Algo::kGreedy}) {
+  ThreadPool pool(4);
+  // IDA*, RBFS, A*, greedy, then beam without a pool and over 4 workers.
+  for (int which = 0; which < 6; ++which) {
     obs::MetricRegistry registry;
     SearchOutcome<int> out;
-    switch (algo) {
-      case Algo::kIda:
+    switch (which) {
+      case 0:
         out = IdaStarSearch(p, SearchLimits(), {&registry});
         break;
-      case Algo::kRbfs:
+      case 1:
         out = RbfsSearch(p, SearchLimits(), {&registry});
         break;
-      case Algo::kAStar:
-        out = AStarSearch(p, SearchLimits(), {&registry});
+      case 2:
+        out = BestFirstSearch(p, BestFirstOrder::kAStar, SearchLimits(),
+                              {&registry});
         break;
-      case Algo::kGreedy:
-        out = GreedySearch(p, SearchLimits(), {&registry});
+      case 3:
+        out = BestFirstSearch(p, BestFirstOrder::kGreedy, SearchLimits(),
+                              {&registry});
+        break;
+      case 4:
+        out = BeamSearch(p, 4, SearchLimits(), {&registry});
+        break;
+      case 5:
+        out = BeamSearch(p, 4, SearchLimits(), {&registry}, &pool);
         break;
     }
-    int which = static_cast<int>(algo);
     ASSERT_TRUE(out.found) << which;
     EXPECT_EQ(registry.CounterValue("search.states_examined"),
               out.stats.states_examined)
@@ -874,8 +885,8 @@ TEST(AStarTest, DeterministicTieBreaking) {
   GraphProblem p;
   p.edges = {{0, {1, 2}}, {1, {9}}, {2, {9}}};
   p.goal = 9;
-  auto out1 = AStarSearch(p);
-  auto out2 = AStarSearch(p);
+  auto out1 = BestFirstSearch(p, BestFirstOrder::kAStar);
+  auto out2 = BestFirstSearch(p, BestFirstOrder::kAStar);
   ASSERT_TRUE(out1.found);
   EXPECT_EQ(out1.path, out2.path);
 }

@@ -171,6 +171,18 @@ TEST(ServeSpecTest, MalformedSpecsAreTypedRejections) {
   EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A zero-width beam examines nothing, and -1 would cast to a beam with no
+// width cut: both are malformed requests.
+TEST(ServeSpecTest, BeamWidthBelowOneIsRejected) {
+  for (int width : {0, -1}) {
+    obs::JsonValue v = SpecToJson(EasyJob());
+    v["beam_width"] = width;
+    Result<JobSpec> r = SpecFromJson(v);
+    ASSERT_FALSE(r.ok()) << width;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << width;
+  }
+}
+
 TEST(JobManagerTest, RunsAJobToVerifiedCompletion) {
   JournalDir dir("basic");
   JobManager manager(BaseConfig(dir));

@@ -188,6 +188,24 @@ TEST(TupeloTest, EmptyOutputIsConfigError) {
             StatusCode::kInvalidArgument);
 }
 
+// A zero-width beam examines nothing; reporting that as "exhausted" would
+// claim no mapping exists. Both a plain beam run and a ladder with a beam
+// rung are configuration errors.
+TEST(TupeloTest, ZeroBeamWidthIsConfigError) {
+  Tupelo system(Tdb("relation S (A, B) { (1, 2) }"),
+                Tdb("relation T (X, B) { (1, 2) }"));
+  TupeloOptions plain;
+  plain.algorithm = SearchAlgorithm::kBeam;
+  plain.beam_width = 0;
+  EXPECT_EQ(system.Discover(plain).status().code(),
+            StatusCode::kInvalidArgument);
+  TupeloOptions ladder;
+  ladder.ladder = DefaultLadder();
+  ladder.beam_width = 0;
+  EXPECT_EQ(system.Discover(ladder).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(TupeloTest, ScaleOverrideRespected) {
   // A tiny k collapses the cosine heuristic to near-blindness but must
   // still find the mapping.
