@@ -8,6 +8,8 @@
 #include <string_view>
 #include <utility>
 
+#include "common/text.h"
+
 namespace tupelo::bench {
 
 RunResult Measure(const Database& source, const Database& target,
@@ -206,19 +208,14 @@ void BenchReport::AddRun(obs::JsonValue run) {
 
 bool BenchReport::Write() const {
   if (!enabled_) return true;
-  FILE* f = std::fopen(path_.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write JSON report to %s\n", path_.c_str());
-    return false;
-  }
   std::string text = root_.Dump(2);
   text += "\n";
-  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    std::fprintf(stderr, "short write for JSON report %s\n", path_.c_str());
+  Status wrote = AtomicWriteFile(path_, text);
+  if (!wrote.ok()) {
+    std::fprintf(stderr, "cannot write JSON report to %s: %s\n",
+                 path_.c_str(), wrote.ToString().c_str());
   }
-  return ok;
+  return wrote.ok();
 }
 
 }  // namespace tupelo::bench

@@ -5,13 +5,17 @@
 #include <iostream>
 #include <string>
 
+#include "common/text.h"
 #include "core/schema_matching.h"
 #include "workloads/bamm.h"
 
 int main(int argc, char** argv) {
   uint64_t seed = 2006;
   size_t show = 5;
-  if (argc > 1) seed = std::stoull(argv[1]);
+  if (argc > 1 && !tupelo::ParseNumber(argv[1], seed)) {
+    std::cerr << "usage: deep_web_matching [seed]\n";
+    return 2;
+  }
 
   tupelo::BammWorkload workload =
       tupelo::MakeBammWorkload(tupelo::BammDomain::kBooks, seed);

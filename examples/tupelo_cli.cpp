@@ -35,19 +35,16 @@
 // at its next poll tick (its last --checkpoint snapshot already on
 // disk), the trace and flight recorder flush, and the process exits 6.
 
-#include <charconv>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <system_error>
-#include <type_traits>
 #include <vector>
 
 #include "common/string_util.h"
+#include "common/text.h"
 #include "core/mapping_repository.h"
 #include "core/postprocess.h"
 #include "core/tupelo.h"
@@ -88,21 +85,11 @@ int ExitCodeFor(const tupelo::TupeloResult& result) {
   }
 }
 
-// Parses all of `text` into `out` as a finite, non-negative value of T.
-// False on an empty or partial parse, a negative value, or a value
-// outside T's range.
+// Parses a numeric flag's value into `out`: all of `text`, finite and
+// non-negative, within T's range.
 template <typename T>
-bool ParseNumber(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  if (ec != std::errc() || ptr != end) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(out)) return false;
-  }
-  if constexpr (std::is_signed_v<T>) {
-    if (out < 0) return false;
-  }
-  return true;
+bool ParseFlag(std::string_view text, T& out) {
+  return tupelo::ParseNumber(text, out, T{0});
 }
 
 int Usage() {
@@ -195,32 +182,32 @@ int main(int argc, char** argv) {
       if (!h.has_value()) return Usage();
       options.heuristic = *h;
     } else if (arg.starts_with("--k=")) {
-      if (!ParseNumber(value_of("--k="), options.scale_k)) return Usage();
+      if (!ParseFlag(value_of("--k="), options.scale_k)) return Usage();
     } else if (arg.starts_with("--max-states=")) {
-      if (!ParseNumber(value_of("--max-states="), options.limits.max_states)) {
+      if (!ParseFlag(value_of("--max-states="), options.limits.max_states)) {
         return Usage();
       }
     } else if (arg.starts_with("--deadline-ms=")) {
-      if (!ParseNumber(value_of("--deadline-ms="),
+      if (!ParseFlag(value_of("--deadline-ms="),
                        options.limits.deadline_millis)) {
         return Usage();
       }
     } else if (arg.starts_with("--max-depth=")) {
-      if (!ParseNumber(value_of("--max-depth="), options.limits.max_depth)) {
+      if (!ParseFlag(value_of("--max-depth="), options.limits.max_depth)) {
         return Usage();
       }
     } else if (arg.starts_with("--beam-width=")) {
-      if (!ParseNumber(value_of("--beam-width="), options.beam_width)) {
+      if (!ParseFlag(value_of("--beam-width="), options.beam_width)) {
         return Usage();
       }
     } else if (arg.starts_with("--threads=")) {
-      if (!ParseNumber(value_of("--threads="), options.threads)) {
+      if (!ParseFlag(value_of("--threads="), options.threads)) {
         return Usage();
       }
     } else if (arg.starts_with("--trace=")) {
       trace_path = value_of("--trace=");
     } else if (arg.starts_with("--trace-buffer-kb=")) {
-      if (!ParseNumber(value_of("--trace-buffer-kb="), trace_buffer_kb)) {
+      if (!ParseFlag(value_of("--trace-buffer-kb="), trace_buffer_kb)) {
         return Usage();
       }
       if (trace_buffer_kb == 0) trace_buffer_kb = 256;
@@ -234,19 +221,19 @@ int main(int argc, char** argv) {
       options.supervisor.enabled = true;
     } else if (arg.starts_with("--stall-window-ms=")) {
       options.supervisor.enabled = true;
-      if (!ParseNumber(value_of("--stall-window-ms="),
+      if (!ParseFlag(value_of("--stall-window-ms="),
                        options.supervisor.stall_window_millis)) {
         return Usage();
       }
     } else if (arg.starts_with("--supervisor-tick-ms=")) {
       options.supervisor.enabled = true;
-      if (!ParseNumber(value_of("--supervisor-tick-ms="),
+      if (!ParseFlag(value_of("--supervisor-tick-ms="),
                        options.supervisor.tick_millis)) {
         return Usage();
       }
     } else if (arg.starts_with("--rung-retries=")) {
       options.supervisor.enabled = true;
-      if (!ParseNumber(value_of("--rung-retries="),
+      if (!ParseFlag(value_of("--rung-retries="),
                        options.supervisor.max_rung_retries)) {
         return Usage();
       }

@@ -87,32 +87,4 @@ std::string AsciiToLower(std::string_view s) {
   return out;
 }
 
-std::string Escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string Quote(std::string_view s) {
-  return "\"" + Escape(s) + "\"";
-}
-
 }  // namespace tupelo

@@ -28,11 +28,6 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 // Lowercases ASCII characters.
 std::string AsciiToLower(std::string_view s);
 
-// Escapes `s` for embedding in the .tdb text format / expression syntax:
-// backslash-escapes '\\', '"', '\n', '\t'. Quote() wraps in double quotes.
-std::string Escape(std::string_view s);
-std::string Quote(std::string_view s);
-
 }  // namespace tupelo
 
 #endif  // TUPELO_COMMON_STRING_UTIL_H_

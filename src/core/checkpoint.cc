@@ -3,14 +3,11 @@
 #include <dirent.h>
 #include <sys/stat.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/string_util.h"
+#include "common/text.h"
 #include "fira/expression.h"
 #include "fira/parser.h"
 #include "relational/io.h"
@@ -51,75 +48,8 @@ bool ParseFp(std::string_view s, Fp128* out) {
          ParseHexLane(s.substr(colon + 1), &out->hi);
 }
 
-bool ParseI64(std::string_view s, int64_t* out) {
-  if (!IsInteger(s)) return false;
-  errno = 0;
-  char* end = nullptr;
-  std::string owned(s);
-  long long v = std::strtoll(owned.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool ParseU64(std::string_view s, uint64_t* out) {
-  if (s.empty() || s[0] == '-' || !IsInteger(s)) return false;
-  errno = 0;
-  char* end = nullptr;
-  std::string owned(s);
-  unsigned long long v = std::strtoull(owned.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 Status Malformed(const std::string& what) {
   return Status::ParseError("malformed checkpoint: " + what);
-}
-
-// Cursor over the payload lines with sectioned-text helpers (same framing
-// idiom as the .tmap mapping repository format).
-class LineReader {
- public:
-  explicit LineReader(std::string_view payload)
-      : lines_(Split(payload, '\n')) {
-    // Split of a '\n'-terminated payload yields one trailing empty field.
-    if (!lines_.empty() && lines_.back().empty()) lines_.pop_back();
-  }
-
-  bool done() const { return pos_ >= lines_.size(); }
-  const std::string& Peek() const { return lines_[pos_]; }
-  const std::string& Next() { return lines_[pos_++]; }
-
-  // Reads "begin <name>" ... "end <name>" and returns the body joined
-  // with newlines (empty body allowed).
-  Result<std::string> Section(const std::string& name) {
-    if (done() || Next() != "begin " + name) {
-      return Malformed("expected 'begin " + name + "'");
-    }
-    std::string body;
-    const std::string terminator = "end " + name;
-    while (true) {
-      if (done()) return Malformed("unterminated section '" + name + "'");
-      const std::string& line = Next();
-      if (line == terminator) break;
-      body += line;
-      body += "\n";
-    }
-    return body;
-  }
-
- private:
-  std::vector<std::string> lines_;
-  size_t pos_ = 0;
-};
-
-void AppendSection(std::string& out, const std::string& name,
-                   std::string_view body) {
-  out += "begin " + name + "\n";
-  out += body;
-  if (!body.empty() && body.back() != '\n') out += "\n";
-  out += "end " + name + "\n";
 }
 
 Result<std::vector<Op>> ParsePathScript(std::string_view script) {
@@ -190,15 +120,15 @@ Result<DiscoveryCheckpoint> ParseCheckpoint(std::string_view text) {
         "checkpoint checksum mismatch (file corrupted)");
   }
 
-  LineReader reader(payload);
-  if (reader.done()) return Malformed("empty file");
+  LineCursor lines(payload);
+  if (lines.done()) return Malformed("empty file");
   {
-    std::vector<std::string> head = Split(reader.Next(), ' ');
+    std::vector<std::string> head = Split(lines.Next(), ' ');
     if (head.size() != 2 || head[0] != kCheckpointMagic) {
       return Malformed("bad magic line");
     }
     int64_t version = 0;
-    if (!ParseI64(head[1], &version)) return Malformed("bad version");
+    if (!ParseNumber(head[1], version)) return Malformed("bad version");
     if (version != kCheckpointFormatVersion) {
       return Status::FailedPrecondition(
           "unsupported checkpoint format version " + head[1] +
@@ -209,101 +139,85 @@ Result<DiscoveryCheckpoint> ParseCheckpoint(std::string_view text) {
 
   DiscoveryCheckpoint cp;
   SearchSeed<Database, Op>& seed = cp.seed;
-  auto expect_kv = [&reader](const std::string& keyword,
-                             std::string* value) -> Status {
-    if (reader.done()) return Malformed("missing '" + keyword + "' line");
-    std::vector<std::string> parts = Split(reader.Next(), ' ');
-    if (parts.empty() || parts[0] != keyword) {
+  // The fields of the next line, which must start with `keyword`.
+  auto fields = [&lines](const std::string& keyword)
+      -> Result<std::vector<std::string>> {
+    if (lines.done()) return Malformed("missing '" + keyword + "' line");
+    std::vector<std::string> parts = Split(lines.Next(), ' ');
+    if (parts[0] != keyword) {
       return Malformed("expected '" + keyword + "' line");
     }
-    std::vector<std::string> rest(parts.begin() + 1, parts.end());
-    *value = Join(rest, " ");
+    parts.erase(parts.begin());
+    return parts;
+  };
+  // A `<keyword> <number>` line, read into `out`.
+  auto number_line = [&fields](const std::string& keyword,
+                               auto& out) -> Status {
+    TUPELO_ASSIGN_OR_RETURN(std::vector<std::string> value, fields(keyword));
+    if (value.size() != 1 || !ParseNumber(value[0], out)) {
+      return Malformed("bad " + keyword);
+    }
     return Status::OK();
   };
 
-  std::string value;
-  TUPELO_RETURN_IF_ERROR(expect_kv("workload", &value));
-  {
-    std::vector<std::string> fps = Split(value, ' ');
-    if (fps.size() != 2 || !ParseFp(fps[0], &cp.source_fp) ||
-        !ParseFp(fps[1], &cp.target_fp)) {
-      return Malformed("bad workload fingerprints");
-    }
+  TUPELO_ASSIGN_OR_RETURN(std::vector<std::string> workload,
+                          fields("workload"));
+  if (workload.size() != 2 || !ParseFp(workload[0], &cp.source_fp) ||
+      !ParseFp(workload[1], &cp.target_fp)) {
+    return Malformed("bad workload fingerprints");
   }
-  TUPELO_RETURN_IF_ERROR(expect_kv("algorithm", &cp.algorithm));
-  TUPELO_RETURN_IF_ERROR(expect_kv("rung", &value));
-  {
-    std::vector<std::string> parts = Split(value, ' ');
-    int64_t index = 0, size = 0;
-    if (parts.size() != 2 || !ParseI64(parts[0], &index) ||
-        !ParseI64(parts[1], &size) || index < 0 || size <= 0 ||
-        index >= size) {
-      return Malformed("bad rung position");
-    }
-    cp.rung_index = static_cast<int>(index);
-    cp.ladder_size = static_cast<int>(size);
+  TUPELO_ASSIGN_OR_RETURN(std::vector<std::string> algorithm,
+                          fields("algorithm"));
+  cp.algorithm = Join(algorithm, " ");
+  TUPELO_ASSIGN_OR_RETURN(std::vector<std::string> rung, fields("rung"));
+  if (rung.size() != 2 || !ParseNumber(rung[0], cp.rung_index, 0) ||
+      !ParseNumber(rung[1], cp.ladder_size, 1) ||
+      cp.rung_index >= cp.ladder_size) {
+    return Malformed("bad rung position");
   }
-  TUPELO_RETURN_IF_ERROR(expect_kv("states_left", &value));
-  if (!ParseI64(value, &cp.states_left)) return Malformed("bad states_left");
-  TUPELO_RETURN_IF_ERROR(expect_kv("deadline_left_millis", &value));
-  if (!ParseI64(value, &cp.deadline_left_millis)) {
-    return Malformed("bad deadline_left_millis");
-  }
-  TUPELO_RETURN_IF_ERROR(expect_kv("states_examined", &value));
-  if (!ParseU64(value, &seed.states_examined)) {
-    return Malformed("bad states_examined");
-  }
-  TUPELO_RETURN_IF_ERROR(expect_kv("best_h", &value));
-  {
-    int64_t best_h = 0;
-    if (!ParseI64(value, &best_h)) return Malformed("bad best_h");
-    seed.best_h = static_cast<int>(best_h);
-  }
-  TUPELO_RETURN_IF_ERROR(expect_kv("ida_bound", &value));
-  if (!ParseI64(value, &seed.ida_bound)) return Malformed("bad ida_bound");
-  TUPELO_RETURN_IF_ERROR(expect_kv("beam_depth", &value));
-  {
-    int64_t depth = 0;
-    if (!ParseI64(value, &depth) || depth < 0) {
-      return Malformed("bad beam_depth");
-    }
-    seed.beam_depth = static_cast<int>(depth);
-  }
-  TUPELO_RETURN_IF_ERROR(expect_kv("next_seq", &value));
-  if (!ParseU64(value, &seed.next_seq)) return Malformed("bad next_seq");
+  TUPELO_RETURN_IF_ERROR(number_line("states_left", cp.states_left));
+  TUPELO_RETURN_IF_ERROR(
+      number_line("deadline_left_millis", cp.deadline_left_millis));
+  TUPELO_RETURN_IF_ERROR(number_line("states_examined", seed.states_examined));
+  TUPELO_RETURN_IF_ERROR(number_line("best_h", seed.best_h));
+  TUPELO_RETURN_IF_ERROR(number_line("ida_bound", seed.ida_bound));
+  TUPELO_RETURN_IF_ERROR(number_line("beam_depth", seed.beam_depth));
+  if (seed.beam_depth < 0) return Malformed("bad beam_depth");
+  TUPELO_RETURN_IF_ERROR(number_line("next_seq", seed.next_seq));
 
-  TUPELO_ASSIGN_OR_RETURN(std::string best_script,
-                          reader.Section("best_path"));
+  TUPELO_ASSIGN_OR_RETURN(std::string_view best_script,
+                          lines.Section("best_path"));
   TUPELO_ASSIGN_OR_RETURN(seed.best_path, ParsePathScript(best_script));
 
-  while (!reader.done()) {
-    std::vector<std::string> parts = Split(reader.Next(), ' ');
-    if (parts.empty()) return Malformed("blank line in entry list");
+  while (!lines.done()) {
+    std::vector<std::string> parts = Split(lines.Next(), ' ');
     if (parts[0] == "frontier_h") {
       SearchSeed<Database, Op>::FrontierNode node;
-      if (parts.size() != 2 || !ParseI64(parts[1], &node.h)) {
+      if (parts.size() != 2 || !ParseNumber(parts[1], node.h)) {
         return Malformed("bad frontier_h line");
       }
-      TUPELO_ASSIGN_OR_RETURN(std::string script, reader.Section("fpath"));
+      TUPELO_ASSIGN_OR_RETURN(std::string_view script,
+                              lines.Section("fpath"));
       TUPELO_ASSIGN_OR_RETURN(node.path, ParsePathScript(script));
-      TUPELO_ASSIGN_OR_RETURN(std::string tdb, reader.Section("fstate"));
+      TUPELO_ASSIGN_OR_RETURN(std::string_view tdb, lines.Section("fstate"));
       TUPELO_ASSIGN_OR_RETURN(node.state, ParseTdb(tdb));
       TUPELO_RETURN_IF_ERROR(node.state.Validate());
       seed.frontier.push_back(std::move(node));
     } else if (parts[0] == "open_entry") {
       SearchSeed<Database, Op>::OpenNode node;
-      if (parts.size() != 3 || !ParseI64(parts[1], &node.key) ||
-          !ParseU64(parts[2], &node.seq)) {
+      if (parts.size() != 3 || !ParseNumber(parts[1], node.key) ||
+          !ParseNumber(parts[2], node.seq)) {
         return Malformed("bad open_entry line");
       }
-      TUPELO_ASSIGN_OR_RETURN(std::string script, reader.Section("opath"));
+      TUPELO_ASSIGN_OR_RETURN(std::string_view script,
+                              lines.Section("opath"));
       TUPELO_ASSIGN_OR_RETURN(node.path, ParsePathScript(script));
       seed.open.push_back(std::move(node));
     } else if (parts[0] == "closed") {
       Fp128 fp;
       int64_t g = 0;
       if (parts.size() != 3 || !ParseFp(parts[1], &fp) ||
-          !ParseI64(parts[2], &g)) {
+          !ParseNumber(parts[2], g)) {
         return Malformed("bad closed line");
       }
       seed.closed.emplace_back(fp, g);
@@ -315,45 +229,13 @@ Result<DiscoveryCheckpoint> ParseCheckpoint(std::string_view text) {
 }
 
 Result<DiscoveryCheckpoint> LoadCheckpointFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open checkpoint: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ParseCheckpoint(ss.str());
+  TUPELO_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  return ParseCheckpoint(text);
 }
 
 Status SaveCheckpointFile(const DiscoveryCheckpoint& checkpoint,
                           const std::string& path) {
   return AtomicWriteFile(path, WriteCheckpoint(checkpoint));
-}
-
-Status AtomicWriteFile(const std::string& path, std::string_view contents) {
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::trunc);
-  if (!out) return Status::InvalidArgument("cannot write file: " + tmp);
-  out.write(contents.data(),
-            static_cast<std::streamsize>(contents.size()));
-  out.flush();
-  if (!out) {
-    // Short write (ENOSPC, I/O error): typed, and the torn tmp file is
-    // removed rather than left behind to shadow a later write.
-    out.close();
-    std::remove(tmp.c_str());
-    return Status::ResourceExhausted("short write for file: " + tmp);
-  }
-  // close() is where buffered data actually reaches the filesystem; an
-  // error here (ENOSPC at flush-on-close) would previously vanish in the
-  // destructor and leave a silently torn tmp file.
-  out.close();
-  if (out.fail()) {
-    std::remove(tmp.c_str());
-    return Status::ResourceExhausted("close failed for file: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("rename failed: " + tmp + " -> " + path);
-  }
-  return Status::OK();
 }
 
 bool RemoveStaleCheckpointTmp(const std::string& path) {

@@ -74,15 +74,11 @@ std::string WriteCheckpoint(const DiscoveryCheckpoint& checkpoint);
 Result<DiscoveryCheckpoint> ParseCheckpoint(std::string_view text);
 
 // File wrappers. LoadCheckpointFile returns NotFound when the file cannot
-// be opened; SaveCheckpointFile writes atomically (see AtomicWriteFile).
+// be opened; SaveCheckpointFile writes atomically (common/text.h
+// AtomicWriteFile).
 Result<DiscoveryCheckpoint> LoadCheckpointFile(const std::string& path);
 Status SaveCheckpointFile(const DiscoveryCheckpoint& checkpoint,
                           const std::string& path);
-
-// Writes `contents` to `path` via write-to-temporary-then-rename, so an
-// interrupted write can never leave a torn file at `path`: readers see
-// either the previous complete contents or the new complete contents.
-Status AtomicWriteFile(const std::string& path, std::string_view contents);
 
 // Hygiene for AtomicWriteFile's crash window: a process killed between
 // writing `<path>.tmp` and renaming it leaves the temporary behind. The

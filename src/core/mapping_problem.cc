@@ -101,7 +101,9 @@ void MappingProblem::EstimateCostBatch(
     obs::ScopedTimer timer(heuristic_nanos_);
     obs::TraceSpan span(trace_, obs::TraceCategory::kHeuristic, "heuristic");
     const TnfEncodeStats tnf_before = ThreadTnfEncodeStats();
-    heuristic_->EstimateBatch(states, out);
+    for (size_t i = 0; i < states.size(); ++i) {
+      out[i] = heuristic_->Estimate(*states[i]);
+    }
     RecordTnfDelta(tnf_before);
     span.SetEndArg("batch", static_cast<int64_t>(states.size()));
   }

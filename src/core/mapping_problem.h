@@ -207,15 +207,15 @@ class MappingProblem {
     return estimate;
   }
 
-  // Batched EstimateCost: out[i] = EstimateCost(*states[i]), with one
-  // heuristic call (Heuristic::EstimateBatch) over the whole batch. It
-  // neither reads nor fills the estimate memo, and every state counts
-  // one eval. Callers pass distinct states: the one caller, the beam,
-  // passes part of one Expand result, which Expand dedups, and only
-  // successors not yet in its dedup set, so a memo here would almost
-  // never hit and would only hold memory. Values are the same as N
-  // sequential calls (the heuristic is deterministic), so routing a
-  // frontier through here cannot change a search outcome.
+  // Batched EstimateCost: out[i] = EstimateCost(*states[i]), under one
+  // timer and trace span for the whole batch. It neither reads nor fills
+  // the estimate memo, and every state counts one eval. Callers pass
+  // distinct states: the one caller, the beam, passes part of one Expand
+  // result, which Expand dedups, and only successors not yet in its
+  // dedup set, so a memo here would almost never hit and would only hold
+  // memory. Values are the same as N sequential calls (the heuristic is
+  // deterministic), so routing a frontier through here cannot change a
+  // search outcome.
   void EstimateCostBatch(std::span<const Database* const> states,
                          std::span<int> out) const;
 

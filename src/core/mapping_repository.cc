@@ -1,10 +1,8 @@
 #include "core/mapping_repository.h"
 
-#include <fstream>
-#include <sstream>
 #include <utility>
 
-#include "common/string_util.h"
+#include "common/text.h"
 #include "fira/parser.h"
 #include "relational/io.h"
 
@@ -12,229 +10,92 @@ namespace tupelo {
 namespace {
 
 constexpr char kMagic[] = "tupelo-mapping";
-constexpr int kVersion = 1;
+constexpr char kVersion[] = "1";
 
-// Correspondence line: `correspondence <fn> [in1, in2] <out>` with the
-// expression syntax's quoting rules for awkward names.
-bool BareOk(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c)) || c == '[' ||
-        c == ']' || c == ',' || c == '"' || c == '#') {
-      return false;
-    }
-  }
-  return true;
+void AppendAtomLine(std::string& out, std::string_view keyword,
+                    std::string_view atom) {
+  out += keyword;
+  out += ' ';
+  AppendAtom(out, atom, kTmapDelims);
+  out += '\n';
 }
-
-std::string Atom(const std::string& s) { return BareOk(s) ? s : Quote(s); }
 
 }  // namespace
 
 std::string WriteMapping(const StoredMapping& mapping) {
-  std::string out = std::string(kMagic) + " " + std::to_string(kVersion) +
-                    "\n";
-  out += "name " + Atom(mapping.name) + "\n";
+  std::string out = std::string(kMagic) + " " + kVersion + "\n";
+  AppendAtomLine(out, "name", mapping.name);
   if (!mapping.algorithm.empty()) {
-    out += "algorithm " + Atom(mapping.algorithm) + "\n";
+    AppendAtomLine(out, "algorithm", mapping.algorithm);
   }
   if (!mapping.heuristic.empty()) {
-    out += "heuristic " + Atom(mapping.heuristic) + "\n";
+    AppendAtomLine(out, "heuristic", mapping.heuristic);
   }
   out += "states " + std::to_string(mapping.states_examined) + "\n";
   for (const SemanticCorrespondence& c : mapping.correspondences) {
-    out += "correspondence " + Atom(c.function) + " [";
+    out += "correspondence ";
+    AppendAtom(out, c.function, kTmapDelims);
+    out += " [";
     for (size_t i = 0; i < c.inputs.size(); ++i) {
       if (i > 0) out += ", ";
-      out += Atom(c.inputs[i]);
+      AppendAtom(out, c.inputs[i], kTmapDelims);
     }
-    out += "] " + Atom(c.output) + "\n";
+    out += "] ";
+    AppendAtom(out, c.output, kTmapDelims);
+    out += '\n';
   }
-  out += "begin source\n" + WriteTdb(mapping.source_instance) +
-         "end source\n";
-  out += "begin target\n" + WriteTdb(mapping.target_instance) +
-         "end target\n";
-  out += "begin expression\n" + mapping.expression.ToScript() +
-         "end expression\n";
+  AppendSection(out, "source", WriteTdb(mapping.source_instance));
+  AppendSection(out, "target", WriteTdb(mapping.target_instance));
+  AppendSection(out, "expression", mapping.expression.ToScript());
   return out;
 }
 
-namespace {
-
-// Splits a header line into whitespace-separated fields, honoring quotes
-// (reusing the expression parser on a synthetic op is overkill; this tiny
-// splitter matches Atom()'s output).
-Result<std::vector<std::string>> SplitHeaderLine(const std::string& line) {
-  std::vector<std::string> fields;
-  size_t i = 0;
-  while (i < line.size()) {
-    if (std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-      continue;
-    }
-    if (line[i] == '"') {
-      std::string out;
-      ++i;
-      bool closed = false;
-      while (i < line.size()) {
-        char c = line[i++];
-        if (c == '"') {
-          closed = true;
-          break;
-        }
-        if (c == '\\' && i < line.size()) {
-          char e = line[i++];
-          switch (e) {
-            case '\\': out += '\\'; break;
-            case '"': out += '"'; break;
-            case 'n': out += '\n'; break;
-            case 't': out += '\t'; break;
-            default:
-              return Status::ParseError("bad escape in header line");
-          }
-        } else {
-          out += c;
-        }
-      }
-      if (!closed) return Status::ParseError("unterminated quote");
-      fields.push_back(std::move(out));
-    } else {
-      size_t start = i;
-      while (i < line.size() &&
-             !std::isspace(static_cast<unsigned char>(line[i]))) {
-        ++i;
-      }
-      fields.emplace_back(line.substr(start, i - start));
-    }
-  }
-  return fields;
-}
-
-}  // namespace
-
 Result<StoredMapping> ParseMapping(std::string_view text) {
   StoredMapping mapping;
-  std::vector<std::string> lines = Split(std::string(text), '\n');
-  size_t i = 0;
-
-  auto next_meaningful = [&]() -> const std::string* {
-    while (i < lines.size()) {
-      std::string_view stripped = StripAsciiWhitespace(lines[i]);
-      if (!stripped.empty() && stripped[0] != '#') return &lines[i];
-      ++i;
-    }
-    return nullptr;
-  };
-
-  const std::string* first = next_meaningful();
-  if (first == nullptr || !StartsWith(*first, kMagic)) {
-    return Status::ParseError("not a tupelo-mapping file");
-  }
-  {
-    TUPELO_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                            SplitHeaderLine(*first));
-    if (fields.size() != 2 || fields[1] != std::to_string(kVersion)) {
-      return Status::ParseError("unsupported tupelo-mapping version");
-    }
-  }
-  ++i;
-
+  LineCursor lines(text);
+  bool saw_magic = false;
   bool saw_source = false;
   bool saw_target = false;
   bool saw_expression = false;
 
-  while (true) {
-    const std::string* line = next_meaningful();
-    if (line == nullptr) break;
-    TUPELO_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                            SplitHeaderLine(*line));
-    ++i;
-    if (fields.empty()) continue;
-    const std::string& keyword = fields[0];
-
-    if (keyword == "name" && fields.size() == 2) {
-      mapping.name = fields[1];
-    } else if (keyword == "algorithm" && fields.size() == 2) {
-      mapping.algorithm = fields[1];
-    } else if (keyword == "heuristic" && fields.size() == 2) {
-      mapping.heuristic = fields[1];
-    } else if (keyword == "states" && fields.size() == 2) {
-      if (!IsInteger(fields[1])) {
-        return Status::ParseError("states expects an integer");
+  while (!lines.done()) {
+    const size_t line = lines.line();
+    Scanner in(lines.Next(), kTmapDelims, line);
+    if (in.AtEnd()) continue;  // blank or comment
+    TUPELO_ASSIGN_OR_RETURN(std::string keyword, in.Atom());
+    if (!saw_magic) {
+      if (keyword != kMagic) {
+        return Status::ParseError("not a tupelo-mapping file");
       }
-      mapping.states_examined = std::stoull(fields[1]);
+      Result<std::string> version = in.Atom();
+      if (!version.ok() || *version != kVersion || !in.AtEnd()) {
+        return Status::ParseError("unsupported tupelo-mapping version");
+      }
+      saw_magic = true;
+      continue;
+    }
+    std::string* field = keyword == "name"        ? &mapping.name
+                         : keyword == "algorithm" ? &mapping.algorithm
+                         : keyword == "heuristic" ? &mapping.heuristic
+                                                  : nullptr;
+    if (field != nullptr) {
+      TUPELO_ASSIGN_OR_RETURN(*field, in.Atom());
+    } else if (keyword == "states") {
+      TUPELO_ASSIGN_OR_RETURN(std::string states, in.Atom());
+      if (!ParseNumber(states, mapping.states_examined)) {
+        return in.Error("states expects an unsigned 64-bit integer");
+      }
     } else if (keyword == "correspondence") {
-      // Reassemble and reuse the bracketed-list structure: the fields are
-      // fn, [list..., possibly split], out. Parse from the raw line.
-      std::string raw = *line;
-      size_t lb = raw.find('[');
-      size_t rb = raw.rfind(']');
-      if (lb == std::string::npos || rb == std::string::npos || rb < lb) {
-        return Status::ParseError("correspondence expects [inputs]");
-      }
-      TUPELO_ASSIGN_OR_RETURN(
-          std::vector<std::string> head,
-          SplitHeaderLine(raw.substr(0, lb)));
-      if (head.size() != 2) {
-        return Status::ParseError("correspondence expects a function name");
-      }
       SemanticCorrespondence c;
-      c.function = head[1];
-      // Split the bracketed list on commas *outside* quotes.
-      std::string list = raw.substr(lb + 1, rb - lb - 1);
-      std::vector<std::string> parts;
-      {
-        std::string current;
-        bool in_quotes = false;
-        for (size_t p = 0; p < list.size(); ++p) {
-          char ch = list[p];
-          if (ch == '"' && (p == 0 || list[p - 1] != '\\')) {
-            in_quotes = !in_quotes;
-          }
-          if (ch == ',' && !in_quotes) {
-            parts.push_back(std::move(current));
-            current.clear();
-          } else {
-            current += ch;
-          }
-        }
-        parts.push_back(std::move(current));
-      }
-      for (const std::string& part : parts) {
-        std::string_view stripped = StripAsciiWhitespace(part);
-        if (stripped.empty()) continue;
-        TUPELO_ASSIGN_OR_RETURN(std::vector<std::string> one,
-                                SplitHeaderLine(std::string(stripped)));
-        if (one.size() != 1) {
-          return Status::ParseError("bad correspondence input list");
-        }
-        c.inputs.push_back(one[0]);
-      }
-      TUPELO_ASSIGN_OR_RETURN(std::vector<std::string> tail,
-                              SplitHeaderLine(raw.substr(rb + 1)));
-      if (tail.size() != 1) {
-        return Status::ParseError("correspondence expects one output");
-      }
-      c.output = tail[0];
+      TUPELO_ASSIGN_OR_RETURN(c.function, in.Atom());
+      TUPELO_ASSIGN_OR_RETURN(c.inputs, in.NameList());
+      TUPELO_ASSIGN_OR_RETURN(c.output, in.Atom());
       mapping.correspondences.push_back(std::move(c));
-    } else if (keyword == "begin" && fields.size() == 2) {
-      const std::string& section = fields[1];
-      std::string body;
-      bool closed = false;
-      while (i < lines.size()) {
-        std::string_view stripped = StripAsciiWhitespace(lines[i]);
-        if (stripped == "end " + section) {
-          closed = true;
-          ++i;
-          break;
-        }
-        body += lines[i];
-        body += "\n";
-        ++i;
-      }
-      if (!closed) {
-        return Status::ParseError("unterminated section '" + section + "'");
-      }
+    } else if (keyword == "begin") {
+      TUPELO_ASSIGN_OR_RETURN(std::string section, in.Atom());
+      if (!in.AtEnd()) return in.Error("trailing input after section name");
+      TUPELO_ASSIGN_OR_RETURN(std::string_view body,
+                              lines.SectionBody(section));
       if (section == "source") {
         TUPELO_ASSIGN_OR_RETURN(mapping.source_instance, ParseTdb(body));
         saw_source = true;
@@ -247,11 +108,14 @@ Result<StoredMapping> ParseMapping(std::string_view text) {
       } else {
         return Status::ParseError("unknown section '" + section + "'");
       }
+      continue;
     } else {
-      return Status::ParseError("unknown header line: " + *line);
+      return in.Error("unknown header line '" + keyword + "'");
     }
+    if (!in.AtEnd()) return in.Error("trailing input after " + keyword);
   }
 
+  if (!saw_magic) return Status::ParseError("not a tupelo-mapping file");
   if (!saw_source || !saw_target || !saw_expression) {
     return Status::ParseError(
         "mapping file needs source, target, and expression sections");
@@ -260,20 +124,13 @@ Result<StoredMapping> ParseMapping(std::string_view text) {
 }
 
 Result<StoredMapping> LoadMappingFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ParseMapping(ss.str());
+  TUPELO_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  return ParseMapping(text);
 }
 
 Status SaveMappingFile(const StoredMapping& mapping,
                        const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::InvalidArgument("cannot write file: " + path);
-  out << WriteMapping(mapping);
-  return out ? Status::OK()
-             : Status::Internal("write failed for file: " + path);
+  return AtomicWriteFile(path, WriteMapping(mapping));
 }
 
 Result<bool> ValidateStoredMapping(const StoredMapping& mapping,

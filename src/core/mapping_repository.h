@@ -51,9 +51,14 @@ struct StoredMapping {
 //   begin expression
 //     ...script...
 //   end expression
+//
+// Each header line is one keyword and its atoms, read with the text
+// layer's rules (common/text.h) and the delimiters [ ] ,. `states` is an
+// unsigned 64-bit integer; algorithm and heuristic lines are optional.
 std::string WriteMapping(const StoredMapping& mapping);
 Result<StoredMapping> ParseMapping(std::string_view text);
 
+// File helpers. Saving is atomic (AtomicWriteFile).
 Result<StoredMapping> LoadMappingFile(const std::string& path);
 Status SaveMappingFile(const StoredMapping& mapping, const std::string& path);
 

@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/text.h"
 #include "common/thread_pool.h"
 #include "core/checkpoint.h"
 #include "fira/optimizer.h"
@@ -262,10 +263,10 @@ Result<Plan> PlanDiscover(const TupeloOptions& options, const Tupelo& tupelo) {
                                      "' has an empty output attribute");
     }
   }
-  // Rungs only vary the algorithm, which can never make MakeHeuristic
-  // fail, so one check covers every rung.
-  if (MakeHeuristic(options.heuristic, target, options.algorithm,
-                    options.scale_k) == nullptr) {
+  // A kind is known when its name parses back to it. Rungs only vary the
+  // algorithm, so one check covers every rung's MakeHeuristic.
+  if (ParseHeuristicKind(HeuristicKindName(options.heuristic)) !=
+      options.heuristic) {
     return Status::InvalidArgument("unknown heuristic kind");
   }
   if (!options.flight_recorder_path.empty() && options.trace == nullptr) {

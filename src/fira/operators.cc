@@ -1,36 +1,21 @@
 #include "fira/operators.h"
 
-#include <cctype>
-
-#include "common/string_util.h"
+#include "common/text.h"
 
 namespace tupelo {
 namespace {
 
-// Script-form atom: bare if it lexes as a single word in the expression
-// grammar, otherwise quoted.
-bool BareOk(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c)) || c == '(' || c == ')' ||
-        c == '[' || c == ']' || c == ',' || c == '"' || c == '#') {
-      return false;
-    }
-  }
-  return true;
+// Appends one script argument: an atom, or λ's input list `[a, b]`.
+void AppendArg(std::string& out, const std::string& name) {
+  AppendAtom(out, name, kScriptDelims);
 }
-
-std::string Atom(const std::string& s) { return BareOk(s) ? s : Quote(s); }
-
-// A list argument (λ's inputs): `[a, b]`.
-std::string Atom(const std::vector<std::string>& names) {
-  std::string out = "[";
+void AppendArg(std::string& out, const std::vector<std::string>& names) {
+  out += '[';
   for (size_t i = 0; i < names.size(); ++i) {
     if (i > 0) out += ", ";
-    out += Atom(names[i]);
+    AppendArg(out, names[i]);
   }
-  out += "]";
-  return out;
+  out += ']';
 }
 
 struct PrettyPrinter {
@@ -82,7 +67,7 @@ std::string OpToScript(const Op& op) {
         std::apply(
             [&out](const auto&... args) {
               const char* sep = "";
-              ((out += sep, out += Atom(args), sep = ", "), ...);
+              ((out += sep, AppendArg(out, args), sep = ", "), ...);
             },
             o.Fields());
         out += ')';

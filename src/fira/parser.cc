@@ -1,11 +1,12 @@
 #include "fira/parser.h"
 
-#include <cctype>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <variant>
 #include <vector>
+
+#include "common/text.h"
 
 namespace tupelo {
 namespace {
@@ -19,162 +20,48 @@ struct Arg {
 
 class ExprParser {
  public:
-  explicit ExprParser(std::string_view text) : text_(text) {}
+  explicit ExprParser(std::string_view text) : in_(text, kScriptDelims) {}
 
   Result<MappingExpression> ParseScript() {
     MappingExpression expr;
-    SkipSpace();
-    while (pos_ < text_.size()) {
+    while (!in_.AtEnd()) {
       TUPELO_ASSIGN_OR_RETURN(Op op, ParseOneOp());
       expr.Append(std::move(op));
-      SkipSpace();
     }
     return expr;
   }
 
   Result<Op> ParseSingle() {
-    SkipSpace();
     TUPELO_ASSIGN_OR_RETURN(Op op, ParseOneOp());
-    SkipSpace();
-    if (pos_ < text_.size()) {
-      return Status::ParseError("trailing input after operator at line " +
-                                std::to_string(line_));
-    }
+    if (!in_.AtEnd()) return in_.Error("trailing input after operator");
     return op;
   }
 
  private:
-  void SkipSpace() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '#') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  Status ExpectChar(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Status::ParseError("expected '" + std::string(1, c) +
-                                "' at line " + std::to_string(line_));
-    }
-    ++pos_;
-    return Status::OK();
-  }
-
-  bool PeekChar(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  static bool IsNameChar(char c) {
-    return !std::isspace(static_cast<unsigned char>(c)) && c != '(' &&
-           c != ')' && c != '[' && c != ']' && c != ',' && c != '"' &&
-           c != '#';
-  }
-
-  Result<std::string> ParseName() {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      return Status::ParseError("expected name at line " +
-                                std::to_string(line_) +
-                                ", got end of input");
-    }
-    if (text_[pos_] == '"') return ParseQuoted();
-    size_t start = pos_;
-    while (pos_ < text_.size() && IsNameChar(text_[pos_])) ++pos_;
-    if (pos_ == start) {
-      return Status::ParseError("expected name at line " +
-                                std::to_string(line_));
-    }
-    return std::string(text_.substr(start, pos_ - start));
-  }
-
-  Result<std::string> ParseQuoted() {
-    ++pos_;  // opening quote
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\n') ++line_;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char e = text_[pos_++];
-        switch (e) {
-          case '\\':
-            out += '\\';
-            break;
-          case '"':
-            out += '"';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          default:
-            return Status::ParseError("bad escape '\\" + std::string(1, e) +
-                                      "' at line " + std::to_string(line_));
-        }
-      } else {
-        out += c;
-      }
-    }
-    return Status::ParseError("unterminated string at line " +
-                              std::to_string(line_));
-  }
-
   Result<Arg> ParseArg() {
-    SkipSpace();
     Arg arg;
-    if (PeekChar('[')) {
-      ++pos_;
+    if (in_.PeekIs('[')) {
       arg.is_list = true;
-      if (!PeekChar(']')) {
-        while (true) {
-          TUPELO_ASSIGN_OR_RETURN(std::string name, ParseName());
-          arg.names.push_back(std::move(name));
-          if (PeekChar(',')) {
-            ++pos_;
-            continue;
-          }
-          break;
-        }
-      }
-      TUPELO_RETURN_IF_ERROR(ExpectChar(']'));
-      return arg;
+      TUPELO_ASSIGN_OR_RETURN(arg.names, in_.NameList());
+    } else {
+      TUPELO_ASSIGN_OR_RETURN(arg.name, in_.Atom());
     }
-    TUPELO_ASSIGN_OR_RETURN(arg.name, ParseName());
     return arg;
   }
 
   Result<Op> ParseOneOp() {
-    SkipSpace();
-    const std::string at_line = " at line " + std::to_string(line_);
-    TUPELO_ASSIGN_OR_RETURN(std::string opname, ParseName());
-    TUPELO_RETURN_IF_ERROR(ExpectChar('('));
+    in_.AtEnd();
+    const std::string at_line = " at line " + std::to_string(in_.line());
+    TUPELO_ASSIGN_OR_RETURN(std::string opname, in_.Atom());
+    TUPELO_RETURN_IF_ERROR(in_.Expect('('));
     std::vector<Arg> args;
-    if (!PeekChar(')')) {
-      while (true) {
+    if (!in_.Consume(')')) {
+      do {
         TUPELO_ASSIGN_OR_RETURN(Arg arg, ParseArg());
         args.push_back(std::move(arg));
-        if (PeekChar(',')) {
-          ++pos_;
-          continue;
-        }
-        break;
-      }
+      } while (in_.Consume(','));
+      TUPELO_RETURN_IF_ERROR(in_.Expect(')'));
     }
-    TUPELO_RETURN_IF_ERROR(ExpectChar(')'));
     return BuildOp(opname, args, at_line);
   }
 
@@ -222,9 +109,7 @@ class ExprParser {
     }
   }
 
-  std::string_view text_;
-  size_t pos_ = 0;
-  size_t line_ = 1;
+  Scanner in_;
 };
 
 }  // namespace

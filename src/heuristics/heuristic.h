@@ -1,7 +1,6 @@
 #ifndef TUPELO_HEURISTICS_HEURISTIC_H_
 #define TUPELO_HEURISTICS_HEURISTIC_H_
 
-#include <span>
 #include <string_view>
 
 #include "relational/database.h"
@@ -19,16 +18,6 @@ class Heuristic {
 
   // Estimated distance (≥ 0) from `state` to the target.
   virtual int Estimate(const Database& state) const = 0;
-
-  // Estimate a batch of states at once: out[i] = Estimate(*states[i]).
-  // The search layer funnels frontier expansions through this so
-  // implementations can amortize per-call setup; the default is the
-  // plain loop, and overrides must return exactly what Estimate would
-  // (the scalar/batched parity tests pin this).
-  virtual void EstimateBatch(std::span<const Database* const> states,
-                             std::span<int> out) const {
-    for (size_t i = 0; i < states.size(); ++i) out[i] = Estimate(*states[i]);
-  }
 
   // Stable display name ("h1", "cosine", ...).
   virtual std::string_view name() const = 0;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/text.h"
+
 namespace tupelo::obs {
 
 namespace {
@@ -241,15 +243,11 @@ JsonValue TraceSession::ToChromeJson() const {
 bool TraceSession::WriteChromeJson(const std::string& path) const {
   std::string text = ToChromeJson().Dump(1);
   text.push_back('\n');
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "trace: cannot open %s for writing\n", path.c_str());
-    return false;
+  Status wrote = AtomicWriteFile(path, text);
+  if (!wrote.ok()) {
+    std::fprintf(stderr, "trace: %s\n", wrote.ToString().c_str());
   }
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  bool ok = written == text.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "trace: short write to %s\n", path.c_str());
-  return ok;
+  return wrote.ok();
 }
 
 namespace {

@@ -138,8 +138,8 @@ class TraceSession {
   // Chrome trace-event JSON: {"traceEvents":[...], "displayTimeUnit":..}
   // with per-thread name metadata. ts is microseconds (Chrome convention).
   JsonValue ToChromeJson() const;
-  // Writes ToChromeJson() to `path`; false (with a stderr note) on I/O
-  // failure.
+  // Writes ToChromeJson() to `path` atomically (AtomicWriteFile); false
+  // (with a stderr note) on I/O failure.
   bool WriteChromeJson(const std::string& path) const;
 
  private:

@@ -1,6 +1,5 @@
 #include "relational/database.h"
 
-#include <atomic>
 #include <unordered_set>
 #include <utility>
 
@@ -10,34 +9,11 @@ namespace tupelo {
 
 namespace {
 
-// Process-wide COW telemetry (relaxed: statistics, not synchronization)
-// plus thread-local mirrors. Every event bumps both, so GlobalCowStats
-// stays a whole-process gauge while ThreadCowStats supports per-search
-// attribution under concurrency.
-std::atomic<uint64_t> g_cow_copies{0};
-std::atomic<uint64_t> g_relations_shared{0};
+// COW telemetry, per thread (see Database::ThreadCowStats).
 thread_local uint64_t tl_cow_copies = 0;
 thread_local uint64_t tl_relations_shared = 0;
 
-void NoteCowCopy() {
-  g_cow_copies.fetch_add(1, std::memory_order_relaxed);
-  ++tl_cow_copies;
-}
-
-void NoteRelationsShared(uint64_t count) {
-  if (count == 0) return;  // don't touch the shared line for empty copies
-  g_relations_shared.fetch_add(count, std::memory_order_relaxed);
-  tl_relations_shared += count;
-}
-
 }  // namespace
-
-Database::CowStats Database::GlobalCowStats() {
-  CowStats out;
-  out.cow_copies = g_cow_copies.load(std::memory_order_relaxed);
-  out.relations_shared = g_relations_shared.load(std::memory_order_relaxed);
-  return out;
-}
 
 Database::CowStats Database::ThreadCowStats() {
   CowStats out;
@@ -48,7 +24,7 @@ Database::CowStats Database::ThreadCowStats() {
 
 Database::Database(const Database& other)
     : relations_(other.relations_), fingerprint_(other.fingerprint_) {
-  NoteRelationsShared(relations_.size());
+  tl_relations_shared += relations_.size();
 }
 
 Database& Database::operator=(const Database& other) {
@@ -64,7 +40,7 @@ Database& Database::operator=(const Database& other) {
     }
     relations_ = other.relations_;
     fingerprint_ = other.fingerprint_;
-    NoteRelationsShared(newly_shared);
+    tl_relations_shared += newly_shared;
   }
   return *this;
 }
@@ -137,7 +113,7 @@ Status Database::RenameRelation(std::string_view from, const std::string& to) {
     auto clone = std::make_shared<Relation>(*r);
     clone->set_name(to);
     r = std::move(clone);
-    NoteCowCopy();
+    ++tl_cow_copies;
   }
   if (fingerprint_.has_value()) fingerprint_->Add(r->Fingerprint());
   relations_.emplace(to, std::move(r));
@@ -166,7 +142,7 @@ Result<Relation*> Database::GetMutableRelation(std::string_view name) {
   fingerprint_.reset();
   if (it->second.use_count() != 1) {
     it->second = std::make_shared<Relation>(*it->second);
-    NoteCowCopy();
+    ++tl_cow_copies;
   }
   return const_cast<Relation*>(it->second.get());
 }

@@ -29,18 +29,15 @@ class Database {
  public:
   using RelationPtr = std::shared_ptr<const Relation>;
 
-  // Copy-on-write telemetry. GlobalCowStats is the process-wide view (a
-  // gauge across every live search); ThreadCowStats counts only events
-  // performed by the calling thread. Per-search attribution must diff
-  // ThreadCowStats: all COW work happens synchronously on the thread
-  // applying the operator, so thread-local deltas stay correct when
-  // several searches (pool workers, serve jobs) run concurrently,
-  // where global deltas would interleave.
+  // Copy-on-write telemetry: the events performed by the calling thread.
+  // All COW work happens synchronously on the thread applying the
+  // operator, so per-search attribution diffs these counts, and the
+  // deltas stay correct when several searches (pool workers, serve jobs)
+  // run concurrently.
   struct CowStats {
     uint64_t cow_copies = 0;        // relations cloned by mutable access
     uint64_t relations_shared = 0;  // relation pointers newly shared by copies
   };
-  static CowStats GlobalCowStats();
   static CowStats ThreadCowStats();
 
   Database() = default;

@@ -1,279 +1,97 @@
 #include "relational/io.h"
 
-#include <cctype>
-#include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
-#include "common/string_util.h"
+#include "common/text.h"
 
 namespace tupelo {
 namespace {
 
-// ---------------------------------------------------------------------------
-// .tdb tokenizer
-// ---------------------------------------------------------------------------
-
-enum class TokKind { kWord, kString, kNull, kPunct, kEnd };
-
-struct Token {
-  TokKind kind;
-  std::string text;  // word/string payload, or the punct character
-  size_t line;
-};
-
-bool IsPunct(char c) {
-  return c == '(' || c == ')' || c == '{' || c == '}' || c == ',';
+// A relation or attribute name: any atom but the bare keyword `null`.
+Result<std::string> ParseName(Scanner& in) {
+  bool quoted = false;
+  Result<std::string> name = in.Atom(&quoted);
+  if (name.ok() && !quoted && *name == "null") {
+    return in.Error("expected name, got 'null'");
+  }
+  return name;
 }
 
-bool IsWordChar(char c) {
-  return !std::isspace(static_cast<unsigned char>(c)) && !IsPunct(c) &&
-         c != '"' && c != '#';
-}
+Result<Relation> ParseRelation(Scanner& in) {
+  TUPELO_RETURN_IF_ERROR(in.ExpectWord("relation"));
+  TUPELO_ASSIGN_OR_RETURN(std::string name, ParseName(in));
 
-class Lexer {
- public:
-  explicit Lexer(std::string_view text) : text_(text) {}
-
-  Result<Token> Next() {
-    SkipSpaceAndComments();
-    if (pos_ >= text_.size()) return Token{TokKind::kEnd, "", line_};
-    char c = text_[pos_];
-    if (IsPunct(c)) {
-      ++pos_;
-      return Token{TokKind::kPunct, std::string(1, c), line_};
-    }
-    if (c == '"') return LexString();
-    if (IsWordChar(c)) return LexWord();
-    return Status::ParseError("unexpected character '" + std::string(1, c) +
-                              "' at line " + std::to_string(line_));
+  TUPELO_RETURN_IF_ERROR(in.Expect('('));
+  std::vector<std::string> attrs;
+  if (!in.Consume(')')) {
+    do {
+      TUPELO_ASSIGN_OR_RETURN(std::string attr, ParseName(in));
+      attrs.push_back(std::move(attr));
+    } while (in.Consume(','));
+    TUPELO_RETURN_IF_ERROR(in.Expect(')'));
   }
+  TUPELO_ASSIGN_OR_RETURN(Relation rel,
+                          Relation::Create(std::move(name), attrs));
 
- private:
-  void SkipSpaceAndComments() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '#') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  Result<Token> LexString() {
-    size_t start_line = line_;
-    ++pos_;  // opening quote
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Token{TokKind::kString, std::move(out), start_line};
-      if (c == '\n') ++line_;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char e = text_[pos_++];
-        switch (e) {
-          case '\\':
-            out += '\\';
-            break;
-          case '"':
-            out += '"';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          default:
-            return Status::ParseError("bad escape '\\" + std::string(1, e) +
-                                      "' at line " + std::to_string(line_));
-        }
-      } else {
-        out += c;
-      }
-    }
-    return Status::ParseError("unterminated string starting at line " +
-                              std::to_string(start_line));
-  }
-
-  Result<Token> LexWord() {
-    size_t start = pos_;
-    while (pos_ < text_.size() && IsWordChar(text_[pos_])) ++pos_;
-    std::string word(text_.substr(start, pos_ - start));
-    if (word == "null") return Token{TokKind::kNull, word, line_};
-    return Token{TokKind::kWord, std::move(word), line_};
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  size_t line_ = 1;
-};
-
-// ---------------------------------------------------------------------------
-// .tdb parser
-// ---------------------------------------------------------------------------
-
-class TdbParser {
- public:
-  explicit TdbParser(std::string_view text) : lexer_(text) {}
-
-  Result<Database> Parse() {
-    TUPELO_RETURN_IF_ERROR(Advance());
-    Database db;
-    while (cur_.kind != TokKind::kEnd) {
-      TUPELO_ASSIGN_OR_RETURN(Relation rel, ParseRelation());
-      TUPELO_RETURN_IF_ERROR(db.AddRelation(std::move(rel)));
-    }
-    return db;
-  }
-
- private:
-  Status Advance() {
-    TUPELO_ASSIGN_OR_RETURN(cur_, lexer_.Next());
-    return Status::OK();
-  }
-
-  Status Expect(TokKind kind, std::string_view what) {
-    if (cur_.kind != kind) {
-      return Status::ParseError("expected " + std::string(what) +
-                                " at line " + std::to_string(cur_.line) +
-                                ", got '" + cur_.text + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ExpectPunct(char c) {
-    if (cur_.kind != TokKind::kPunct || cur_.text[0] != c) {
-      return Status::ParseError("expected '" + std::string(1, c) +
-                                "' at line " + std::to_string(cur_.line) +
-                                ", got '" + cur_.text + "'");
-    }
-    return Advance();
-  }
-
-  // Name position: a word or quoted string.
-  Result<std::string> ParseName() {
-    if (cur_.kind != TokKind::kWord && cur_.kind != TokKind::kString) {
-      return Status::ParseError("expected name at line " +
-                                std::to_string(cur_.line) + ", got '" +
-                                cur_.text + "'");
-    }
-    std::string name = cur_.text;
-    TUPELO_RETURN_IF_ERROR(Advance());
-    return name;
-  }
-
-  Result<Relation> ParseRelation() {
-    TUPELO_RETURN_IF_ERROR(Expect(TokKind::kWord, "'relation'"));
-    if (cur_.text != "relation") {
-      return Status::ParseError("expected 'relation' at line " +
-                                std::to_string(cur_.line) + ", got '" +
-                                cur_.text + "'");
-    }
-    TUPELO_RETURN_IF_ERROR(Advance());
-    TUPELO_ASSIGN_OR_RETURN(std::string name, ParseName());
-
-    TUPELO_RETURN_IF_ERROR(ExpectPunct('('));
-    std::vector<std::string> attrs;
-    if (!(cur_.kind == TokKind::kPunct && cur_.text[0] == ')')) {
-      while (true) {
-        TUPELO_ASSIGN_OR_RETURN(std::string attr, ParseName());
-        attrs.push_back(std::move(attr));
-        if (cur_.kind == TokKind::kPunct && cur_.text[0] == ',') {
-          TUPELO_RETURN_IF_ERROR(Advance());
-          continue;
-        }
-        break;
-      }
-    }
-    TUPELO_RETURN_IF_ERROR(ExpectPunct(')'));
-
-    TUPELO_ASSIGN_OR_RETURN(Relation rel,
-                            Relation::Create(std::move(name), attrs));
-
-    TUPELO_RETURN_IF_ERROR(ExpectPunct('{'));
-    while (!(cur_.kind == TokKind::kPunct && cur_.text[0] == '}')) {
-      TUPELO_ASSIGN_OR_RETURN(Tuple t, ParseTuple());
-      TUPELO_RETURN_IF_ERROR(rel.AddTuple(std::move(t)));
-    }
-    TUPELO_RETURN_IF_ERROR(Advance());  // '}'
-    return rel;
-  }
-
-  Result<Tuple> ParseTuple() {
-    TUPELO_RETURN_IF_ERROR(ExpectPunct('('));
+  TUPELO_RETURN_IF_ERROR(in.Expect('{'));
+  while (!in.Consume('}')) {
+    TUPELO_RETURN_IF_ERROR(in.Expect('('));
     std::vector<Value> values;
-    if (!(cur_.kind == TokKind::kPunct && cur_.text[0] == ')')) {
-      while (true) {
-        if (cur_.kind == TokKind::kNull) {
+    if (!in.Consume(')')) {
+      do {
+        bool quoted = false;
+        TUPELO_ASSIGN_OR_RETURN(std::string atom, in.Atom(&quoted));
+        if (!quoted && atom == "null") {
           values.push_back(Value::Null());
-          TUPELO_RETURN_IF_ERROR(Advance());
-        } else if (cur_.kind == TokKind::kWord ||
-                   cur_.kind == TokKind::kString) {
-          values.emplace_back(cur_.text);
-          TUPELO_RETURN_IF_ERROR(Advance());
         } else {
-          return Status::ParseError("expected value at line " +
-                                    std::to_string(cur_.line) + ", got '" +
-                                    cur_.text + "'");
+          values.emplace_back(std::move(atom));
         }
-        if (cur_.kind == TokKind::kPunct && cur_.text[0] == ',') {
-          TUPELO_RETURN_IF_ERROR(Advance());
-          continue;
-        }
-        break;
-      }
+      } while (in.Consume(','));
+      TUPELO_RETURN_IF_ERROR(in.Expect(')'));
     }
-    TUPELO_RETURN_IF_ERROR(ExpectPunct(')'));
-    return Tuple(std::move(values));
+    TUPELO_RETURN_IF_ERROR(rel.AddTuple(Tuple(std::move(values))));
   }
-
-  Lexer lexer_;
-  Token cur_{TokKind::kEnd, "", 0};
-};
-
-// A name/atom needs quoting in .tdb output unless it is a non-empty bare
-// word that would not lex as the `null` keyword.
-bool NeedsQuoting(const std::string& s) {
-  if (s.empty() || s == "null" || s == "relation") return true;
-  for (char c : s) {
-    if (!IsWordChar(c)) return true;
-  }
-  return false;
-}
-
-std::string FormatAtom(const std::string& s) {
-  return NeedsQuoting(s) ? Quote(s) : s;
+  return rel;
 }
 
 }  // namespace
 
 Result<Database> ParseTdb(std::string_view text) {
-  return TdbParser(text).Parse();
+  Scanner in(text, kTdbDelims);
+  Database db;
+  while (!in.AtEnd()) {
+    TUPELO_ASSIGN_OR_RETURN(Relation rel, ParseRelation(in));
+    TUPELO_RETURN_IF_ERROR(db.AddRelation(std::move(rel)));
+  }
+  return db;
 }
 
 std::string WriteTdb(const Database& db) {
   std::string out;
+  // Atoms spelled like the keywords `null` and `relation` are quoted.
+  auto atom = [&out](std::string_view s) {
+    AppendAtom(out, s, kTdbDelims, {"null", "relation"});
+  };
   for (const auto& [name, relp] : db.relations()) {
     const Relation& rel = *relp;
-    out += "relation " + FormatAtom(name) + " (";
+    out += "relation ";
+    atom(name);
+    out += " (";
     for (size_t i = 0; i < rel.attributes().size(); ++i) {
       if (i > 0) out += ", ";
-      out += FormatAtom(rel.attributes()[i]);
+      atom(rel.attributes()[i]);
     }
     out += ") {\n";
     for (const Tuple& t : rel.tuples()) {
       out += "  (";
       for (size_t i = 0; i < t.size(); ++i) {
         if (i > 0) out += ", ";
-        out += t[i].is_null() ? "null" : FormatAtom(t[i].atom());
+        if (t[i].is_null()) {
+          out += "null";
+        } else {
+          atom(t[i].atom());
+        }
       }
       out += ")\n";
     }
@@ -282,156 +100,9 @@ std::string WriteTdb(const Database& db) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// CSV
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Splits one CSV text into records of fields. `quoted[i]` records whether
-// field i was quoted (to distinguish null from empty atom).
-struct CsvField {
-  std::string text;
-  bool quoted = false;
-};
-
-Result<std::vector<std::vector<CsvField>>> ParseCsvRecords(
-    std::string_view csv) {
-  std::vector<std::vector<CsvField>> records;
-  std::vector<CsvField> record;
-  CsvField field;
-  size_t i = 0;
-  bool in_quotes = false;
-  bool any = false;
-
-  auto end_field = [&] {
-    record.push_back(std::move(field));
-    field = CsvField{};
-  };
-  auto end_record = [&] {
-    end_field();
-    records.push_back(std::move(record));
-    record.clear();
-  };
-
-  while (i < csv.size()) {
-    char c = csv[i];
-    any = true;
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < csv.size() && csv[i + 1] == '"') {
-          field.text += '"';
-          i += 2;
-        } else {
-          in_quotes = false;
-          ++i;
-        }
-      } else {
-        field.text += c;
-        ++i;
-      }
-    } else if (c == '"') {
-      if (!field.text.empty()) {
-        return Status::ParseError("quote inside unquoted CSV field");
-      }
-      field.quoted = true;
-      in_quotes = true;
-      ++i;
-    } else if (c == ',') {
-      end_field();
-      ++i;
-    } else if (c == '\r') {
-      ++i;
-    } else if (c == '\n') {
-      end_record();
-      ++i;
-    } else {
-      field.text += c;
-      ++i;
-    }
-  }
-  if (in_quotes) return Status::ParseError("unterminated CSV quote");
-  if (any && (!field.text.empty() || field.quoted || !record.empty())) {
-    end_record();
-  }
-  return records;
-}
-
-}  // namespace
-
-Result<Relation> ParseCsvRelation(std::string name, std::string_view csv) {
-  TUPELO_ASSIGN_OR_RETURN(std::vector<std::vector<CsvField>> records,
-                          ParseCsvRecords(csv));
-  if (records.empty()) {
-    return Status::ParseError("CSV has no header record");
-  }
-  std::vector<std::string> attrs;
-  attrs.reserve(records[0].size());
-  for (const CsvField& f : records[0]) attrs.push_back(f.text);
-  TUPELO_ASSIGN_OR_RETURN(Relation rel,
-                          Relation::Create(std::move(name), attrs));
-  for (size_t r = 1; r < records.size(); ++r) {
-    if (records[r].size() != attrs.size()) {
-      return Status::ParseError(
-          "CSV record " + std::to_string(r) + " has " +
-          std::to_string(records[r].size()) + " fields; header has " +
-          std::to_string(attrs.size()));
-    }
-    std::vector<Value> values;
-    values.reserve(attrs.size());
-    for (const CsvField& f : records[r]) {
-      if (f.text.empty() && !f.quoted) {
-        values.push_back(Value::Null());
-      } else {
-        values.emplace_back(f.text);
-      }
-    }
-    TUPELO_RETURN_IF_ERROR(rel.AddTuple(Tuple(std::move(values))));
-  }
-  return rel;
-}
-
-namespace {
-
-std::string CsvEscapeField(const Value& v) {
-  if (v.is_null()) return "";
-  const std::string& s = v.atom();
-  bool needs = s.empty() || s.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += "\"";
-  return out;
-}
-
-}  // namespace
-
-std::string WriteCsv(const Relation& relation) {
-  std::string out;
-  for (size_t i = 0; i < relation.attributes().size(); ++i) {
-    if (i > 0) out += ",";
-    out += CsvEscapeField(Value(relation.attributes()[i]));
-  }
-  out += "\n";
-  for (const Tuple& t : relation.tuples()) {
-    for (size_t i = 0; i < t.size(); ++i) {
-      if (i > 0) out += ",";
-      out += CsvEscapeField(t[i]);
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 Result<Database> LoadTdbFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  TUPELO_ASSIGN_OR_RETURN(Database db, ParseTdb(ss.str()));
+  TUPELO_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  TUPELO_ASSIGN_OR_RETURN(Database db, ParseTdb(text));
   // Loaded bytes are untrusted: fail with a descriptive Status on any
   // structural damage rather than letting it surface as UB mid-search.
   TUPELO_RETURN_IF_ERROR(db.Validate());
@@ -439,11 +110,7 @@ Result<Database> LoadTdbFile(const std::string& path) {
 }
 
 Status SaveTdbFile(const Database& db, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::InvalidArgument("cannot write file: " + path);
-  out << WriteTdb(db);
-  return out ? Status::OK()
-             : Status::Internal("write failed for file: " + path);
+  return AtomicWriteFile(path, WriteTdb(db));
 }
 
 }  // namespace tupelo

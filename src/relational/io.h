@@ -17,23 +17,15 @@ namespace tupelo {
 //     ("Jet West", "16", null, 220)
 //   }
 //
-// Atoms are bare words (no whitespace or punctuation ()-{},"#) or
-// double-quoted strings with \\ \" \n \t escapes; `null` (bare, case
-// sensitive) is the null value. Attribute names follow the same lexical
-// rules as atoms.
+// Atoms follow the text layer's rules (common/text.h) with the
+// delimiters ( ) { } ,; `null` (bare, case sensitive) is the null value.
+// Relation and attribute names are atoms too, but never bare `null`.
 Result<Database> ParseTdb(std::string_view text);
 
 // Serializes `db` in .tdb format; round-trips through ParseTdb.
 std::string WriteTdb(const Database& db);
 
-// Reads/writes a single relation as RFC-4180-style CSV. The first record is
-// the header (attribute names). Fields containing commas, quotes or
-// newlines are double-quoted with "" escaping. An empty unquoted field is
-// null; an explicitly quoted empty field ("") is the empty atom.
-Result<Relation> ParseCsvRelation(std::string name, std::string_view csv);
-std::string WriteCsv(const Relation& relation);
-
-// File helpers.
+// File helpers. Saving is atomic (AtomicWriteFile).
 Result<Database> LoadTdbFile(const std::string& path);
 Status SaveTdbFile(const Database& db, const std::string& path);
 

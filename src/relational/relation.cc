@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "common/text.h"
 
 namespace tupelo {
 

@@ -5,11 +5,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
+#include "common/text.h"
 #include "core/checkpoint.h"
 #include "heuristics/heuristic_factory.h"
 #include "relational/io.h"
@@ -22,14 +20,6 @@ using Clock = std::chrono::steady_clock;
 double MillisSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-Result<std::string> ReadFileText(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 bool FileExists(const std::string& path) {
@@ -253,7 +243,7 @@ Status JobManager::RecoverJournal() {
   std::lock_guard<std::mutex> lock(mu_);
   for (const std::string& id : ids) {
     TUPELO_ASSIGN_OR_RETURN(std::string spec_text,
-                            ReadFileText(JournalPath(id, ".job")));
+                            ReadFile(JournalPath(id, ".job")));
     Result<obs::JsonValue> spec_json = obs::JsonValue::Parse(spec_text);
     if (!spec_json.ok()) continue;  // torn beyond repair; skip, don't crash
     Result<JobSpec> spec = SpecFromJson(*spec_json);
@@ -268,7 +258,7 @@ Status JobManager::RecoverJournal() {
 
     const std::string done_path = JournalPath(id, ".done");
     if (FileExists(done_path)) {
-      Result<std::string> done_text = ReadFileText(done_path);
+      Result<std::string> done_text = ReadFile(done_path);
       if (done_text.ok()) {
         Result<obs::JsonValue> done_json = obs::JsonValue::Parse(*done_text);
         if (done_json.ok()) {
@@ -294,8 +284,9 @@ Status JobManager::RecoverJournal() {
     }
     // next_seq_ must clear every journaled id, done or not, so restarted
     // servers never mint a colliding id.
-    if (id.size() > 1 && id[0] == 'j') {
-      uint64_t seq = std::strtoull(id.c_str() + 1, nullptr, 10);
+    uint64_t seq = 0;
+    if (id.starts_with('j') &&
+        ParseNumber(std::string_view(id).substr(1), seq)) {
       next_seq_ = std::max(next_seq_, seq + 1);
     }
     jobs_[id] = std::move(job);

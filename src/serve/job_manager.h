@@ -97,7 +97,7 @@ struct SubmitOutcome {
 struct JobManagerConfig {
   // Crash-durability journal directory (required). Layout: `<id>.job`
   // spec, `<id>.tck` checkpoint, `<id>.done` terminal record — all
-  // written atomically (core/checkpoint.h AtomicWriteFile).
+  // written atomically (common/text.h AtomicWriteFile).
   std::string journal_dir;
   // Worker threads draining the admission queue; each runs one job at a
   // time, so this is the running-job concurrency.

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/text.h"
 #include "core/checkpoint.h"
 #include "core/tupelo.h"
 #include "fira/expression.h"

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/text.h"
 
 namespace tupelo {
 namespace {
@@ -201,13 +204,147 @@ TEST(StringUtilTest, AsciiToLower) {
   EXPECT_EQ(AsciiToLower("AbC123"), "abc123");
 }
 
-TEST(StringUtilTest, EscapeAndQuote) {
+TEST(TextTest, EscapeAndQuote) {
   EXPECT_EQ(Escape("plain"), "plain");
   EXPECT_EQ(Escape("a\"b"), "a\\\"b");
   EXPECT_EQ(Escape("a\\b"), "a\\\\b");
   EXPECT_EQ(Escape("a\nb\tc"), "a\\nb\\tc");
   EXPECT_EQ(Quote("hi"), "\"hi\"");
   EXPECT_EQ(Quote("say \"hi\""), "\"say \\\"hi\\\"\"");
+}
+
+// ---------------------------------------------------------------------------
+// text layer
+// ---------------------------------------------------------------------------
+
+std::string Atom(std::string_view atom, std::string_view delims,
+                 std::initializer_list<std::string_view> keywords = {}) {
+  std::string out;
+  AppendAtom(out, atom, delims, keywords);
+  return out;
+}
+
+TEST(TextTest, AtomsQuoteOnlyWhatTheirFormatDelimits) {
+  for (std::string_view delims : {kTdbDelims, kScriptDelims, kTmapDelims}) {
+    EXPECT_EQ(Atom("plain-1.5", delims), "plain-1.5");
+    EXPECT_EQ(Atom("", delims), "\"\"");
+    EXPECT_EQ(Atom("a b", delims), "\"a b\"");
+    EXPECT_EQ(Atom("a\tb", delims), "\"a\\tb\"");
+    EXPECT_EQ(Atom("#x", delims), "\"#x\"");
+    EXPECT_EQ(Atom("say\"", delims), "\"say\\\"\"");
+  }
+  EXPECT_EQ(Atom("f(x)", kTmapDelims), "f(x)");
+  EXPECT_EQ(Atom("f(x)", kScriptDelims), "\"f(x)\"");
+  EXPECT_EQ(Atom("a[1]", kTdbDelims), "a[1]");
+  EXPECT_EQ(Atom("a[1]", kTmapDelims), "\"a[1]\"");
+  EXPECT_EQ(Atom("{x}", kScriptDelims), "{x}");
+  EXPECT_EQ(Atom("{x}", kTdbDelims), "\"{x}\"");
+  EXPECT_EQ(Atom("null", kTdbDelims, {"null"}), "\"null\"");
+  EXPECT_EQ(Atom("null", kScriptDelims), "null");
+}
+
+TEST(TextTest, ScannerReadsAtomsListsAndComments) {
+  Scanner in("  word \"a \\\"q\\\" b\" # comment\n [x, \"y z\"] [] (", "()[],");
+  bool quoted = true;
+  EXPECT_EQ(in.Atom(&quoted).value(), "word");
+  EXPECT_FALSE(quoted);
+  EXPECT_EQ(in.Atom(&quoted).value(), "a \"q\" b");
+  EXPECT_TRUE(quoted);
+  EXPECT_EQ(in.line(), 1u);
+  EXPECT_TRUE(in.PeekIs('['));
+  EXPECT_EQ(in.line(), 2u);
+  EXPECT_EQ(in.NameList().value(), (std::vector<std::string>{"x", "y z"}));
+  EXPECT_TRUE(in.NameList().value().empty());
+  EXPECT_FALSE(in.Consume(')'));
+  EXPECT_TRUE(in.Expect('(').ok());
+  EXPECT_TRUE(in.AtEnd());
+}
+
+TEST(TextTest, ScannerErrorsNameTheLine) {
+  auto error = [](std::string_view text) {
+    Scanner in(text, kScriptDelims);
+    Result<std::vector<std::string>> r = in.NameList();
+    EXPECT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    return r.status().message();
+  };
+  EXPECT_EQ(error("\n\n[a b]"), "expected ']', got 'b' at line 3");
+  EXPECT_EQ(error("[a,\n)"), "expected name, got ')' at line 2");
+  EXPECT_EQ(error("[\"open\n"), "unterminated string starting at line 1");
+  EXPECT_EQ(error("[\n\"bad\\q\"]"), "bad escape '\\q' at line 2");
+  EXPECT_EQ(error("[a"), "expected ']', got end of input at line 1");
+  EXPECT_EQ(error("[a,]"), "expected name, got ']' at line 1");
+  EXPECT_EQ(error("[a,,b]"), "expected name, got ',' at line 1");
+
+  Scanner word("relations", kTdbDelims);
+  EXPECT_FALSE(word.ExpectWord("relation").ok());
+  Scanner quoted("\"relation\"", kTdbDelims);
+  EXPECT_FALSE(quoted.ExpectWord("relation").ok());
+}
+
+TEST(TextTest, SectionsFrameBodiesVerbatim) {
+  std::string out;
+  AppendSection(out, "body", "line 1\n  end bod\n");
+  AppendSection(out, "empty", "");
+  AppendSection(out, "open", "no newline");
+  EXPECT_EQ(out,
+            "begin body\nline 1\n  end bod\nend body\n"
+            "begin empty\nend empty\n"
+            "begin open\nno newline\nend open\n");
+
+  LineCursor lines(out);
+  EXPECT_EQ(lines.Section("body").value(), "line 1\n  end bod\n");
+  EXPECT_EQ(lines.Section("empty").value(), "");
+  EXPECT_EQ(lines.line(), 7u);
+  EXPECT_FALSE(lines.Section("other").ok());  // the next one is "open"
+  EXPECT_EQ(lines.SectionBody("open").value(), "no newline\n");
+  EXPECT_TRUE(lines.done());
+
+  // Framing lines may carry surrounding whitespace; a missing end line is
+  // a ParseError naming where the section began.
+  LineCursor spaced("x\n  begin s \r\nbody\n end s\t\n");
+  EXPECT_EQ(spaced.Next(), "x");
+  EXPECT_EQ(spaced.Section("s").value(), "body\n");
+  LineCursor open("a\nbegin s\nbody\n");
+  open.Next();
+  Result<std::string_view> r = open.Section("s");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "unterminated section 's' begun at line 2");
+}
+
+TEST(TextTest, ParseNumberTakesTheWholeStringInRange) {
+  uint64_t u = 7;
+  EXPECT_TRUE(ParseNumber("18446744073709551615", u));
+  EXPECT_EQ(u, 18446744073709551615ull);
+  for (std::string_view bad :
+       {"", "-5", "+5", " 5", "5 ", "5x", "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(ParseNumber(bad, u)) << bad;
+  }
+  EXPECT_EQ(u, 18446744073709551615ull);  // failures leave `out` alone
+  int64_t i = 0;
+  EXPECT_TRUE(ParseNumber("-42", i));
+  EXPECT_EQ(i, -42);
+  EXPECT_FALSE(ParseNumber("-42", i, 0));
+  uint16_t port = 0;
+  EXPECT_TRUE(ParseNumber("65535", port));
+  EXPECT_FALSE(ParseNumber("70000", port));
+  double d = 0;
+  EXPECT_TRUE(ParseNumber("2.5", d));
+  EXPECT_EQ(d, 2.5);
+  EXPECT_FALSE(ParseNumber("inf", d));
+  EXPECT_FALSE(ParseNumber("nan", d));
+}
+
+TEST(TextTest, FilesRoundTripThroughAtomicWrite) {
+  const std::string path = testing::TempDir() + "/tupelo_text_test.txt";
+  ASSERT_TRUE(AtomicWriteFile(path, std::string("a\0b\n", 4)).ok());
+  ASSERT_TRUE(AtomicWriteFile(path, "second\n").ok());
+  EXPECT_EQ(ReadFile(path).value(), "second\n");
+  EXPECT_EQ(ReadFile(path + ".tmp").status().code(), StatusCode::kNotFound);
+  std::remove(path.c_str());
+  EXPECT_EQ(ReadFile(path).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(AtomicWriteFile(testing::TempDir() + "/no/such/dir/x", "x").code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -176,107 +176,6 @@ TEST(TdbWriteTest, NullWrittenAsKeyword) {
 }
 
 // ---------------------------------------------------------------------------
-// CSV
-// ---------------------------------------------------------------------------
-
-TEST(CsvTest, ParseBasic) {
-  Result<Relation> r = ParseCsvRelation("R", "A,B\n1,2\n3,4\n");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->attributes(), (std::vector<std::string>{"A", "B"}));
-  ASSERT_EQ(r->size(), 2u);
-  EXPECT_EQ(r->tuples()[0], Tuple::OfAtoms({"1", "2"}));
-}
-
-TEST(CsvTest, QuotedFieldsAndEscapedQuotes) {
-  Result<Relation> r =
-      ParseCsvRelation("R", "A,B\n\"x,y\",\"say \"\"hi\"\"\"\n");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->tuples()[0][0], Value("x,y"));
-  EXPECT_EQ(r->tuples()[0][1], Value("say \"hi\""));
-}
-
-TEST(CsvTest, EmbeddedNewlineInQuotedField) {
-  Result<Relation> r = ParseCsvRelation("R", "A\n\"line1\nline2\"\n");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->tuples()[0][0], Value("line1\nline2"));
-}
-
-TEST(CsvTest, EmptyUnquotedIsNullQuotedIsEmptyAtom) {
-  Result<Relation> r = ParseCsvRelation("R", "A,B\n,\"\"\n");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_TRUE(r->tuples()[0][0].is_null());
-  EXPECT_EQ(r->tuples()[0][1], Value(""));
-}
-
-TEST(CsvTest, CrLfHandled) {
-  Result<Relation> r = ParseCsvRelation("R", "A,B\r\n1,2\r\n");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->tuples()[0], Tuple::OfAtoms({"1", "2"}));
-}
-
-TEST(CsvTest, MissingFinalNewlineOk) {
-  Result<Relation> r = ParseCsvRelation("R", "A,B\n1,2");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->size(), 1u);
-}
-
-TEST(CsvTest, Rejections) {
-  EXPECT_FALSE(ParseCsvRelation("R", "").ok());           // no header
-  EXPECT_FALSE(ParseCsvRelation("R", "A,B\n1\n").ok());   // field count
-  EXPECT_FALSE(ParseCsvRelation("R", "A\n\"x\n").ok());   // open quote
-  EXPECT_FALSE(ParseCsvRelation("R", "A\nx\"y\n").ok());  // stray quote
-  EXPECT_FALSE(ParseCsvRelation("R", "A,A\n1,2\n").ok()); // dup attrs
-}
-
-TEST(CsvTest, EveryTruncationFailsCleanlyOrParses) {
-  const std::string csv = "A,B,C\n1,\"x,y\",3\n\"say \"\"hi\"\"\",,z\n";
-  for (size_t len = 0; len < csv.size(); ++len) {
-    Result<Relation> r = ParseCsvRelation("R", csv.substr(0, len));
-    if (!r.ok()) {
-      EXPECT_FALSE(r.status().message().empty()) << "cut at " << len;
-    }
-  }
-  // A cut inside a quoted field must be an open-quote error, not a
-  // silently shortened value.
-  EXPECT_FALSE(ParseCsvRelation("R", "A\n\"trunc").ok());
-}
-
-TEST(CsvTest, GarbageBytesFailCleanly) {
-  const std::string nul_header("\x00,B\n1,2\n", 8);
-  // A NUL byte is data, not structure: parsing must not crash on it, and
-  // field-count errors must still be detected afterwards.
-  Result<Relation> nul = ParseCsvRelation("R", nul_header);
-  if (nul.ok()) {
-    EXPECT_EQ(nul->arity(), 2u);
-  }
-  EXPECT_FALSE(ParseCsvRelation("R", "A,B\n\"\x01\n").ok());
-  EXPECT_FALSE(ParseCsvRelation("R", "A,B\n1,2,3\n").ok());
-}
-
-TEST(CsvTest, WriteRoundTrip) {
-  Database db = MakeFlightsB();
-  const Relation* rel = db.GetRelation("Prices").value();
-  Result<Relation> back = ParseCsvRelation("Prices", WriteCsv(*rel));
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_TRUE(back->ContentsEqual(*rel));
-}
-
-TEST(CsvTest, WriteRoundTripWithNullsAndSpecials) {
-  Result<Relation> r = Relation::Create("R", {"A", "B", "C"});
-  ASSERT_TRUE(r.ok());
-  ASSERT_TRUE(r->AddTuple(Tuple(std::vector<Value>{
-                              Value("x,y"), Value::Null(), Value("q\"z")}))
-                  .ok());
-  ASSERT_TRUE(
-      r->AddTuple(Tuple(std::vector<Value>{Value(""), Value("line\nbreak"),
-                                           Value("plain")}))
-          .ok());
-  Result<Relation> back = ParseCsvRelation("R", WriteCsv(*r));
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_TRUE(back->ContentsEqual(*r));
-}
-
-// ---------------------------------------------------------------------------
 // Files
 // ---------------------------------------------------------------------------
 

@@ -64,11 +64,41 @@ TEST(MappingRepositoryTest, RoundTripAwkwardNames) {
   m.expression.Append(RenameAttrOp{"Prices", "AgentFee", "new fee"});
   m.correspondences.push_back(
       {"concat", {"a b", "c,d"}, "out put"});
+  // An output holding brackets, an input ending in a backslash, and an
+  // input that is one space each once broke the parser on its own output.
+  m.correspondences.push_back(
+      {"sum", {"Unit Price\\", " ", "Qty"}, "total[usd]"});
+  m.correspondences.push_back({"f[1]", {}, "x"});
   Result<StoredMapping> back = ParseMapping(WriteMapping(m));
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back->name, m.name);
   EXPECT_EQ(back->correspondences, m.correspondences);
   EXPECT_EQ(back->expression, m.expression);
+}
+
+TEST(MappingRepositoryTest, HeaderAtomsUseTheTmapDelimiters) {
+  StoredMapping m = ExampleMapping();
+  m.name = "f(x)";  // parentheses are no .tmap delimiter: written bare
+  m.correspondences.push_back({"g(y)", {"a"}, "b"});
+  const std::string text = WriteMapping(m);
+  EXPECT_NE(text.find("\nname f(x)\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\ncorrespondence g(y) [a] b\n"), std::string::npos);
+  Result<StoredMapping> back = ParseMapping(text);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->name, "f(x)");
+  EXPECT_EQ(back->correspondences, m.correspondences);
+
+  // Header lines take comments and blank lines; errors name the line.
+  Result<StoredMapping> commented = ParseMapping(
+      "# stored\ntupelo-mapping 1 # version\n\nname x # id\n"
+      "begin source\nend source\nbegin target\nend target\n"
+      "begin expression\nend expression\n");
+  ASSERT_TRUE(commented.ok()) << commented.status();
+  EXPECT_EQ(commented->name, "x");
+  Result<StoredMapping> bad = ParseMapping("tupelo-mapping 1\n\nbogus x\n");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("at line 3"), std::string::npos)
+      << bad.status();
 }
 
 TEST(MappingRepositoryTest, ValidateStoredMapping) {
@@ -111,7 +141,10 @@ TEST(MappingRepositoryTest, FileRoundTrip) {
   Result<StoredMapping> back = LoadMappingFile(path);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back->expression, m.expression);
+  // The save is atomic: it went through a temporary that is gone now.
+  EXPECT_EQ(std::fopen((path + ".tmp").c_str(), "r"), nullptr);
   std::remove(path.c_str());
+  EXPECT_EQ(LoadMappingFile(path).status().code(), StatusCode::kNotFound);
 }
 
 TEST(MappingRepositoryTest, Rejections) {
@@ -127,8 +160,24 @@ TEST(MappingRepositoryTest, Rejections) {
   // Unknown section.
   EXPECT_FALSE(
       ParseMapping("tupelo-mapping 1\nbegin junk\nend junk\n").ok());
-  // Bad states value.
-  EXPECT_FALSE(ParseMapping("tupelo-mapping 1\nstates abc\n").ok());
+  // Bad header lines in an otherwise valid mapping: states that is not a
+  // number, past 64 bits or negative, and correspondences without a
+  // [list] or with input after the output.
+  const std::string valid = WriteMapping(ExampleMapping());
+  ASSERT_TRUE(ParseMapping(valid).ok());
+  const size_t states_at = valid.find("states 2570\n");
+  ASSERT_NE(states_at, std::string::npos);
+  for (const char* line :
+       {"states abc", "states 99999999999999999999999", "states -5",
+        "correspondence f a b", "correspondence f [a] b c"}) {
+    std::string text = valid;
+    text.replace(states_at, std::string("states 2570").size(), line);
+    Result<StoredMapping> bad = ParseMapping(text);
+    ASSERT_FALSE(bad.ok()) << line;
+    EXPECT_EQ(bad.status().code(), StatusCode::kParseError) << line;
+    EXPECT_NE(bad.status().message().find("at line 5"), std::string::npos)
+        << bad.status();
+  }
   // Unknown header keyword.
   EXPECT_FALSE(ParseMapping("tupelo-mapping 1\nbogus x\n").ok());
 }

@@ -202,11 +202,11 @@ TEST(CowTest, UniquelyOwnedRelationMutatesInPlace) {
   Relation r = MakeRel("R", {"x"});
   ASSERT_TRUE(db.AddRelation(r).ok());
   const Relation* before = db.relations().at("R").get();
-  Database::CowStats stats_before = Database::GlobalCowStats();
+  Database::CowStats stats_before = Database::ThreadCowStats();
   Result<Relation*> mut = db.GetMutableRelation("R");
   ASSERT_TRUE(mut.ok());
   EXPECT_EQ(before, *mut);  // no clone: nobody else holds it
-  EXPECT_EQ(Database::GlobalCowStats().cow_copies, stats_before.cow_copies);
+  EXPECT_EQ(Database::ThreadCowStats().cow_copies, stats_before.cow_copies);
 }
 
 TEST(CowTest, CowStatsCountSharingAndClones) {
@@ -216,13 +216,13 @@ TEST(CowTest, CowStatsCountSharingAndClones) {
   ASSERT_TRUE(parent.AddRelation(r).ok());
   ASSERT_TRUE(parent.AddRelation(s).ok());
 
-  Database::CowStats before = Database::GlobalCowStats();
+  Database::CowStats before = Database::ThreadCowStats();
   Database child = parent;  // shares both relations
-  Database::CowStats after_copy = Database::GlobalCowStats();
+  Database::CowStats after_copy = Database::ThreadCowStats();
   EXPECT_EQ(after_copy.relations_shared, before.relations_shared + 2);
 
   ASSERT_TRUE(child.GetMutableRelation("R").ok());  // clones the shared R
-  Database::CowStats after_mut = Database::GlobalCowStats();
+  Database::CowStats after_mut = Database::ThreadCowStats();
   EXPECT_EQ(after_mut.cow_copies, after_copy.cow_copies + 1);
 }
 
@@ -234,36 +234,36 @@ TEST(CowTest, AssignmentCountsOnlyNewlySharedRelations) {
   ASSERT_TRUE(parent.AddRelation(s).ok());
 
   Database child;
-  Database::CowStats before = Database::GlobalCowStats();
+  Database::CowStats before = Database::ThreadCowStats();
   child = parent;  // both relations newly shared
-  EXPECT_EQ(Database::GlobalCowStats().relations_shared,
+  EXPECT_EQ(Database::ThreadCowStats().relations_shared,
             before.relations_shared + 2);
 
   // Re-assigning the same source shares nothing new: child already holds
   // the identical relation pointers. The old accounting re-counted size()
   // on every assignment.
-  before = Database::GlobalCowStats();
+  before = Database::ThreadCowStats();
   child = parent;
-  EXPECT_EQ(Database::GlobalCowStats().relations_shared,
+  EXPECT_EQ(Database::ThreadCowStats().relations_shared,
             before.relations_shared);
 
   // After one relation diverges, re-assignment re-shares exactly that one.
   ASSERT_TRUE(child.GetMutableRelation("R").ok());
-  before = Database::GlobalCowStats();
+  before = Database::ThreadCowStats();
   child = parent;
-  EXPECT_EQ(Database::GlobalCowStats().relations_shared,
+  EXPECT_EQ(Database::ThreadCowStats().relations_shared,
             before.relations_shared + 1);
 }
 
 TEST(CowTest, EmptyDatabaseCopiesShareNothing) {
   Database empty;
-  Database::CowStats before = Database::GlobalCowStats();
+  Database::CowStats before = Database::ThreadCowStats();
   Database copy = empty;  // copy ctor: no relations, nothing shared
   Database assigned;
   assigned = empty;  // operator=: same invariant
-  EXPECT_EQ(Database::GlobalCowStats().relations_shared,
+  EXPECT_EQ(Database::ThreadCowStats().relations_shared,
             before.relations_shared);
-  EXPECT_EQ(Database::GlobalCowStats().cow_copies, before.cow_copies);
+  EXPECT_EQ(Database::ThreadCowStats().cow_copies, before.cow_copies);
   EXPECT_TRUE(copy.relations().empty());
   EXPECT_TRUE(assigned.relations().empty());
 }

@@ -175,8 +175,10 @@ TEST(TraceRingTest, FaultInstantsBumpFaultCount) {
 
 TEST(TraceConcurrencyTest, PoolWorkersGetDistinctTracks) {
   TraceSession session;
-  ThreadPool pool(4);
+  // The hook outlives the pool: a worker calls OnTaskEnd after the task's
+  // wg.Done(), so it may still run while the test body returns.
   obs::PoolTaskTracer hook(&session);
+  ThreadPool pool(4);
   pool.set_trace_hook(&hook);
 
   // A start barrier forces all four workers to hold a task at once, so
@@ -210,8 +212,10 @@ TEST(TraceConcurrencyTest, PoolWorkersGetDistinctTracks) {
 // different workers, so their pool.task spans must lie on two tracks.
 TEST(TraceConcurrencyTest, TasksThatMeetRunOnTwoWorkerTracks) {
   TraceSession session;
-  ThreadPool pool(4);
+  // The hook outlives the pool: a worker calls OnTaskEnd after the task's
+  // wg.Done(), so it may still run while the test body returns.
   obs::PoolTaskTracer hook(&session);
+  ThreadPool pool(4);
   pool.set_trace_hook(&hook);
   std::latch meet(2);
   WaitGroup wg;

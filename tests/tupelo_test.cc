@@ -206,6 +206,18 @@ TEST(TupeloTest, ZeroBeamWidthIsConfigError) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(TupeloTest, UnknownHeuristicKindIsConfigError) {
+  Tupelo system(Tdb("relation S (A, B) { (1, 2) }"),
+                Tdb("relation T (X, B) { (1, 2) }"));
+  TupeloOptions options;
+  options.heuristic = static_cast<HeuristicKind>(99);
+  EXPECT_EQ(system.Discover(options).status().code(),
+            StatusCode::kInvalidArgument);
+  options.ladder = DefaultLadder();
+  EXPECT_EQ(system.Discover(options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(TupeloTest, ScaleOverrideRespected) {
   // A tiny k collapses the cosine heuristic to near-blindness but must
   // still find the mapping.

@@ -85,8 +85,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -95,6 +93,7 @@
 
 #include "bench_util.h"
 #include "common/hash.h"
+#include "common/text.h"
 #include "core/checkpoint.h"
 #include "core/tupelo.h"
 #include "fira/executor.h"
@@ -767,13 +766,11 @@ int main(int argc, char** argv) {
     // reload cleanly through the trace reader — a corrupt dump is itself
     // a violation.
     bool dumped = false;
-    if (std::ifstream dump(flight_path, std::ios::binary); dump) {
+    if (Result<std::string> text = ReadFile(flight_path); text.ok()) {
       dumped = true;
       ++campaign.flight_dumps;
-      std::string text((std::istreambuf_iterator<char>(dump)),
-                       std::istreambuf_iterator<char>());
       Result<std::vector<obs::TraceExportEvent>> events =
-          obs::ParseChromeTrace(text);
+          obs::ParseChromeTrace(*text);
       if (!events.ok()) {
         campaign.Violation(t, "flight-record dump unparseable: " +
                                   events.status().ToString());

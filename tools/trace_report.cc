@@ -23,14 +23,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
+#include "common/text.h"
 #include "obs/trace.h"
 
 namespace tupelo {
@@ -39,17 +38,6 @@ namespace {
 using obs::TraceCategory;
 using obs::TraceExportEvent;
 using obs::TracePhase;
-
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    return Status::Internal("read error on " + path);
-  }
-  return std::move(buf).str();
-}
 
 struct SpanAgg {
   uint64_t count = 0;
@@ -311,7 +299,7 @@ int main(int argc, char** argv) {
   }
   if (path.empty()) return Usage();
 
-  Result<std::string> bytes = ReadFileBytes(path);
+  Result<std::string> bytes = ReadFile(path);
   if (!bytes.ok()) {
     std::fprintf(stderr, "trace_report: %s\n",
                  bytes.status().ToString().c_str());

@@ -7,6 +7,9 @@
 //                [--checkpoint-interval=N] [--checkpoint-keep=N]
 //                [--retries=N] [--trace=trace.json]
 //
+// A malformed or out-of-range number (--port above 65535, say), an
+// unknown flag, or --help prints the usage line and exits 2.
+//
 // Binds 127.0.0.1:<port> (0 = ephemeral) and prints "listening <port>" on
 // stdout once ready — scripts scrape that line. Speaks the framed-JSON
 // protocol documented in docs/SERVING.md. On boot it recovers the journal
@@ -21,10 +24,10 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 
+#include "common/text.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/server.h"
@@ -35,12 +38,14 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
 
-uint64_t FlagU64(const char* arg, const char* name, uint64_t fallback) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0) {
-    return std::strtoull(arg + len, nullptr, 10);
-  }
-  return fallback;
+int Usage() {
+  std::fprintf(stderr,
+               "usage: tupelo_serve --journal-dir=DIR [--port=N] "
+               "[--workers=N] [--queue-limit=N] [--pool-threads=N] "
+               "[--fair-states=N] [--default-deadline-ms=N] "
+               "[--max-deadline-ms=N] [--checkpoint-interval=N] "
+               "[--checkpoint-keep=N] [--retries=N] [--trace=PATH]\n");
+  return 2;
 }
 
 }  // namespace
@@ -52,43 +57,47 @@ int main(int argc, char** argv) {
   config.jobs.journal_dir = "serve_journal";
   std::string trace_path;
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--journal-dir=", 14) == 0) {
-      config.jobs.journal_dir = arg + 14;
-    } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-      trace_path = arg + 8;
-    } else if (std::strcmp(arg, "--help") == 0) {
-      std::fprintf(stderr,
-                   "usage: tupelo_serve --journal-dir=DIR [--port=N] "
-                   "[--workers=N] [--queue-limit=N] [--pool-threads=N] "
-                   "[--fair-states=N] [--default-deadline-ms=N] "
-                   "[--max-deadline-ms=N] [--checkpoint-interval=N] "
-                   "[--checkpoint-keep=N] [--retries=N] [--trace=PATH]\n");
-      return 2;
+    const std::string_view arg = argv[i];
+    std::string_view value;
+    // True when `arg` is `<flag><value>`, with `value` set.
+    auto is = [&](std::string_view flag) {
+      if (!arg.starts_with(flag)) return false;
+      value = arg.substr(flag.size());
+      return true;
+    };
+    // Parses a numeric flag's value, non-negative and within T's range.
+    auto number = [&value](auto& out) {
+      return ParseNumber(value, out, 0);
+    };
+    bool ok = true;
+    if (is("--journal-dir=")) {
+      config.jobs.journal_dir = value;
+    } else if (is("--trace=")) {
+      trace_path = value;
+    } else if (is("--port=")) {
+      ok = number(config.port);
+    } else if (is("--workers=")) {
+      ok = number(config.jobs.workers);
+    } else if (is("--queue-limit=")) {
+      ok = number(config.jobs.queue_limit);
+    } else if (is("--pool-threads=")) {
+      ok = number(config.jobs.pool_threads);
+    } else if (is("--fair-states=")) {
+      ok = number(config.jobs.fair_states_per_job);
+    } else if (is("--default-deadline-ms=")) {
+      ok = number(config.jobs.default_deadline_millis);
+    } else if (is("--max-deadline-ms=")) {
+      ok = number(config.jobs.max_deadline_millis);
+    } else if (is("--checkpoint-interval=")) {
+      ok = number(config.jobs.checkpoint_interval_states);
+    } else if (is("--checkpoint-keep=")) {
+      ok = number(config.jobs.checkpoint_keep);
+    } else if (is("--retries=")) {
+      ok = number(config.jobs.max_job_retries);
     } else {
-      config.port = static_cast<uint16_t>(
-          FlagU64(arg, "--port=", config.port));
-      config.jobs.workers =
-          static_cast<size_t>(FlagU64(arg, "--workers=", config.jobs.workers));
-      config.jobs.queue_limit = static_cast<size_t>(
-          FlagU64(arg, "--queue-limit=", config.jobs.queue_limit));
-      config.jobs.pool_threads = static_cast<size_t>(
-          FlagU64(arg, "--pool-threads=", config.jobs.pool_threads));
-      config.jobs.fair_states_per_job =
-          FlagU64(arg, "--fair-states=", config.jobs.fair_states_per_job);
-      config.jobs.default_deadline_millis = static_cast<int64_t>(FlagU64(
-          arg, "--default-deadline-ms=",
-          static_cast<uint64_t>(config.jobs.default_deadline_millis)));
-      config.jobs.max_deadline_millis = static_cast<int64_t>(
-          FlagU64(arg, "--max-deadline-ms=",
-                  static_cast<uint64_t>(config.jobs.max_deadline_millis)));
-      config.jobs.checkpoint_interval_states = FlagU64(
-          arg, "--checkpoint-interval=", config.jobs.checkpoint_interval_states);
-      config.jobs.checkpoint_keep = static_cast<size_t>(
-          FlagU64(arg, "--checkpoint-keep=", config.jobs.checkpoint_keep));
-      config.jobs.max_job_retries = static_cast<int>(FlagU64(
-          arg, "--retries=", static_cast<uint64_t>(config.jobs.max_job_retries)));
+      ok = false;  // --help and unknown flags
     }
+    if (!ok) return Usage();
   }
 
   obs::MetricRegistry metrics;
