@@ -144,8 +144,8 @@ void BM_FingerprintCold(benchmark::State& state) {
 BENCHMARK(BM_FingerprintCold)->Arg(4)->Arg(16)->Arg(32);
 
 // COW successor construction. Cold: a single wide relation, which the
-// successor must clone anyway — no sharing to exploit. Shared: 32
-// relations of which the successor mutates one and shares 31.
+// successor clones (schema only: the tuple body stays shared). Shared:
+// 32 relations of which the successor mutates one and shares 31.
 void BM_SuccessorCowCold(benchmark::State& state) {
   Database db = WideDatabase(32);
   RenameAttrOp op{"R", "A01", "ZZ"};

@@ -192,18 +192,21 @@ bool IsFrame(std::string_view line, std::string_view keyword,
 
 }  // namespace
 
-Result<std::string_view> LineCursor::Section(std::string_view name) {
+Result<std::string_view> LineCursor::Section(std::string_view name,
+                                              size_t* first_line) {
   const size_t begin_line = line_;
   if (done() || !IsFrame(Next(), "begin", name)) {
     return Status::ParseError("expected 'begin " + std::string(name) +
                               "' at line " + std::to_string(begin_line));
   }
-  return SectionBody(name);
+  return SectionBody(name, first_line);
 }
 
-Result<std::string_view> LineCursor::SectionBody(std::string_view name) {
+Result<std::string_view> LineCursor::SectionBody(std::string_view name,
+                                                  size_t* first_line) {
   const size_t start = pos_;
   const size_t begin_line = line_ - 1;
+  if (first_line != nullptr) *first_line = line_;
   while (!done()) {
     const size_t line_start = pos_;
     if (IsFrame(Next(), "end", name)) {

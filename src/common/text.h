@@ -108,11 +108,15 @@ class LineCursor {
   std::string_view Next();
 
   // Reads a section whose next line is `begin <name>`.
-  Result<std::string_view> Section(std::string_view name);
+  Result<std::string_view> Section(std::string_view name,
+                                   size_t* first_line = nullptr);
   // Reads the body after a `begin <name>` line already read, through
   // the `end <name>` line, which it consumes. The body keeps its
   // newlines. Both framing lines may carry surrounding whitespace.
-  Result<std::string_view> SectionBody(std::string_view name);
+  // `*first_line` (when given) is the number of the body's first line,
+  // for a parser of the body to count from.
+  Result<std::string_view> SectionBody(std::string_view name,
+                                       size_t* first_line = nullptr);
 
  private:
   std::string_view text_;

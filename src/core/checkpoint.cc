@@ -52,8 +52,13 @@ Status Malformed(const std::string& what) {
   return Status::ParseError("malformed checkpoint: " + what);
 }
 
-Result<std::vector<Op>> ParsePathScript(std::string_view script) {
-  TUPELO_ASSIGN_OR_RETURN(MappingExpression expr, ParseExpression(script));
+// The operators of the path script in the section `name`, the next one.
+Result<std::vector<Op>> ReadPath(LineCursor& lines, std::string_view name) {
+  size_t first_line = 0;
+  TUPELO_ASSIGN_OR_RETURN(std::string_view script,
+                          lines.Section(name, &first_line));
+  TUPELO_ASSIGN_OR_RETURN(MappingExpression expr,
+                          ParseExpression(script, first_line));
   return expr.steps();
 }
 
@@ -185,9 +190,7 @@ Result<DiscoveryCheckpoint> ParseCheckpoint(std::string_view text) {
   if (seed.beam_depth < 0) return Malformed("bad beam_depth");
   TUPELO_RETURN_IF_ERROR(number_line("next_seq", seed.next_seq));
 
-  TUPELO_ASSIGN_OR_RETURN(std::string_view best_script,
-                          lines.Section("best_path"));
-  TUPELO_ASSIGN_OR_RETURN(seed.best_path, ParsePathScript(best_script));
+  TUPELO_ASSIGN_OR_RETURN(seed.best_path, ReadPath(lines, "best_path"));
 
   while (!lines.done()) {
     std::vector<std::string> parts = Split(lines.Next(), ' ');
@@ -196,11 +199,11 @@ Result<DiscoveryCheckpoint> ParseCheckpoint(std::string_view text) {
       if (parts.size() != 2 || !ParseNumber(parts[1], node.h)) {
         return Malformed("bad frontier_h line");
       }
-      TUPELO_ASSIGN_OR_RETURN(std::string_view script,
-                              lines.Section("fpath"));
-      TUPELO_ASSIGN_OR_RETURN(node.path, ParsePathScript(script));
-      TUPELO_ASSIGN_OR_RETURN(std::string_view tdb, lines.Section("fstate"));
-      TUPELO_ASSIGN_OR_RETURN(node.state, ParseTdb(tdb));
+      TUPELO_ASSIGN_OR_RETURN(node.path, ReadPath(lines, "fpath"));
+      size_t state_line = 0;
+      TUPELO_ASSIGN_OR_RETURN(std::string_view tdb,
+                              lines.Section("fstate", &state_line));
+      TUPELO_ASSIGN_OR_RETURN(node.state, ParseTdb(tdb, state_line));
       TUPELO_RETURN_IF_ERROR(node.state.Validate());
       seed.frontier.push_back(std::move(node));
     } else if (parts[0] == "open_entry") {
@@ -209,9 +212,7 @@ Result<DiscoveryCheckpoint> ParseCheckpoint(std::string_view text) {
           !ParseNumber(parts[2], node.seq)) {
         return Malformed("bad open_entry line");
       }
-      TUPELO_ASSIGN_OR_RETURN(std::string_view script,
-                              lines.Section("opath"));
-      TUPELO_ASSIGN_OR_RETURN(node.path, ParsePathScript(script));
+      TUPELO_ASSIGN_OR_RETURN(node.path, ReadPath(lines, "opath"));
       seed.open.push_back(std::move(node));
     } else if (parts[0] == "closed") {
       Fp128 fp;

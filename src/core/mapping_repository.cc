@@ -94,16 +94,20 @@ Result<StoredMapping> ParseMapping(std::string_view text) {
     } else if (keyword == "begin") {
       TUPELO_ASSIGN_OR_RETURN(std::string section, in.Atom());
       if (!in.AtEnd()) return in.Error("trailing input after section name");
+      size_t body_line = 0;
       TUPELO_ASSIGN_OR_RETURN(std::string_view body,
-                              lines.SectionBody(section));
+                              lines.SectionBody(section, &body_line));
       if (section == "source") {
-        TUPELO_ASSIGN_OR_RETURN(mapping.source_instance, ParseTdb(body));
+        TUPELO_ASSIGN_OR_RETURN(mapping.source_instance,
+                                ParseTdb(body, body_line));
         saw_source = true;
       } else if (section == "target") {
-        TUPELO_ASSIGN_OR_RETURN(mapping.target_instance, ParseTdb(body));
+        TUPELO_ASSIGN_OR_RETURN(mapping.target_instance,
+                                ParseTdb(body, body_line));
         saw_target = true;
       } else if (section == "expression") {
-        TUPELO_ASSIGN_OR_RETURN(mapping.expression, ParseExpression(body));
+        TUPELO_ASSIGN_OR_RETURN(mapping.expression,
+                                ParseExpression(body, body_line));
         saw_expression = true;
       } else {
         return Status::ParseError("unknown section '" + section + "'");

@@ -4,17 +4,31 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "common/string_util.h"
+#include "common/text.h"
 
 namespace tupelo {
 namespace {
 
+// Reads what IsInteger accepts (a leading '+' included) over the whole
+// int64_t range; a value outside it is an error, not a saturated one.
 Result<int64_t> ToInt(const std::string& s) {
   if (!IsInteger(s)) {
     return Status::InvalidArgument("not an integer: '" + s + "'");
   }
-  return static_cast<int64_t>(std::strtoll(s.c_str(), nullptr, 10));
+  std::string_view digits = s;
+  if (digits.front() == '+') digits.remove_prefix(1);
+  int64_t value = 0;
+  if (!ParseNumber(digits, value)) {
+    return Status::InvalidArgument("integer out of range: '" + s + "'");
+  }
+  return value;
+}
+
+Status IntegerOverflow() {
+  return Status::InvalidArgument("integer result out of range");
 }
 
 Result<double> ToNumber(const std::string& s) {
@@ -62,7 +76,9 @@ Status RegisterBuiltinFunctions(FunctionRegistry* registry) {
       "add", 2, [](const Args& a) -> Result<std::string> {
         TUPELO_ASSIGN_OR_RETURN(int64_t x, ToInt(a[0]));
         TUPELO_ASSIGN_OR_RETURN(int64_t y, ToInt(a[1]));
-        return std::to_string(x + y);
+        int64_t r = 0;
+        if (__builtin_add_overflow(x, y, &r)) return IntegerOverflow();
+        return std::to_string(r);
       },
       "integer sum (paper Example 5, f3 shape)")));
 
@@ -70,7 +86,9 @@ Status RegisterBuiltinFunctions(FunctionRegistry* registry) {
       "sub", 2, [](const Args& a) -> Result<std::string> {
         TUPELO_ASSIGN_OR_RETURN(int64_t x, ToInt(a[0]));
         TUPELO_ASSIGN_OR_RETURN(int64_t y, ToInt(a[1]));
-        return std::to_string(x - y);
+        int64_t r = 0;
+        if (__builtin_sub_overflow(x, y, &r)) return IntegerOverflow();
+        return std::to_string(r);
       },
       "integer difference")));
 
@@ -78,7 +96,9 @@ Status RegisterBuiltinFunctions(FunctionRegistry* registry) {
       "mul", 2, [](const Args& a) -> Result<std::string> {
         TUPELO_ASSIGN_OR_RETURN(int64_t x, ToInt(a[0]));
         TUPELO_ASSIGN_OR_RETURN(int64_t y, ToInt(a[1]));
-        return std::to_string(x * y);
+        int64_t r = 0;
+        if (__builtin_mul_overflow(x, y, &r)) return IntegerOverflow();
+        return std::to_string(r);
       },
       "integer product")));
 
@@ -107,13 +127,24 @@ Status RegisterBuiltinFunctions(FunctionRegistry* registry) {
   TUPELO_RETURN_IF_ERROR(registry->Register(Fn(
       "usd_to_cents", 1, [](const Args& a) -> Result<std::string> {
         std::vector<std::string> parts = Split(a[0], '.');
+        auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
         if (parts.size() != 2 || parts[1].size() != 2 ||
-            !IsInteger(parts[0]) || !IsInteger(parts[1])) {
+            !IsInteger(parts[0]) || !is_digit(parts[1][0]) ||
+            !is_digit(parts[1][1])) {
           return Status::InvalidArgument("not D.CC dollars: '" + a[0] + "'");
         }
         TUPELO_ASSIGN_OR_RETURN(int64_t dollars, ToInt(parts[0]));
-        TUPELO_ASSIGN_OR_RETURN(int64_t cents, ToInt(parts[1]));
-        return std::to_string(dollars * 100 + cents);
+        const int64_t cents = (parts[1][0] - '0') * 10 + (parts[1][1] - '0');
+        // The dollars' sign is the amount's: "-1.50" and "-0.50" are
+        // -150 and -50.
+        const bool negative = parts[0].front() == '-';
+        int64_t r = 0;
+        if (__builtin_mul_overflow(dollars, 100, &r) ||
+            (negative ? __builtin_sub_overflow(r, cents, &r)
+                      : __builtin_add_overflow(r, cents, &r))) {
+          return IntegerOverflow();
+        }
+        return std::to_string(r);
       },
       "'12.34' -> '1234'")));
 

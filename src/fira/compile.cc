@@ -93,6 +93,16 @@ Result<Database> ExecuteFused(const PlanSegment& seg, const Database& input,
                               obs::TraceSession* trace, size_t* failed_op) {
   *failed_op = 0;
 
+  // A rename-only segment changes no tuple: the interpreter's
+  // rename_att/rename_rel already share the input's tuple body, at
+  // O(arity) per step, so a fused loop has nothing to save.
+  if (std::all_of(seg.ops.begin(), seg.ops.end(), [](const Op& op) {
+        return std::holds_alternative<RenameAttrOp>(op) ||
+               std::holds_alternative<RenameRelOp>(op);
+      })) {
+    return InterpretSegment(seg, input, registry, metrics, trace, failed_op);
+  }
+
   Result<Database> shadow_r = MakeShadow(input);
   if (!shadow_r.ok()) {
     // An input that cannot even be schema-copied (not producible through
@@ -182,25 +192,6 @@ Result<Database> ExecuteFused(const PlanSegment& seg, const Database& input,
   loop.out_attrs = std::move(names);
 
   // ---- Execute ----
-  // Pure-rename fast path: no row work, no column changes — the tuple
-  // data is untouched, so the relation moves under its new key with
-  // copy-on-write sharing (mirrors the interpreter's rename_rel cost).
-  bool identity = loop.instrs.empty() &&
-                  loop.projection.size() == loop.base_width;
-  for (uint32_t i = 0; identity && i < loop.base_width; ++i) {
-    identity = loop.projection[i] == i;
-  }
-  if (identity && loop.right == nullptr &&
-      loop.out_attrs == loop.left->attributes()) {
-    Database out = input;
-    if (loop.out_name != loop.source_name) {
-      // Cannot fail: the shadow replay proved the target name free.
-      TUPELO_RETURN_IF_ERROR(
-          out.RenameRelation(loop.source_name, loop.out_name));
-    }
-    return out;
-  }
-
   obs::ScopedTimer loop_timer(
       metrics != nullptr ? &metrics->GetCounter("executor.fused.nanos")
                          : nullptr);

@@ -20,7 +20,8 @@ struct Arg {
 
 class ExprParser {
  public:
-  explicit ExprParser(std::string_view text) : in_(text, kScriptDelims) {}
+  explicit ExprParser(std::string_view text, size_t first_line = 1)
+      : in_(text, kScriptDelims, first_line) {}
 
   Result<MappingExpression> ParseScript() {
     MappingExpression expr;
@@ -114,8 +115,9 @@ class ExprParser {
 
 }  // namespace
 
-Result<MappingExpression> ParseExpression(std::string_view script) {
-  return ExprParser(script).ParseScript();
+Result<MappingExpression> ParseExpression(std::string_view script,
+                                          size_t first_line) {
+  return ExprParser(script, first_line).ParseScript();
 }
 
 Result<Op> ParseOp(std::string_view text) {

@@ -30,8 +30,11 @@ namespace tupelo {
 //   rename_rel(from, to)
 //   apply(R, function, [in1, in2, ...], outAttr)
 //
-// '#' starts a comment to end of line.
-Result<MappingExpression> ParseExpression(std::string_view script);
+// '#' starts a comment to end of line. Error lines count from
+// `first_line`, the number of the script's first line in the file that
+// embeds it.
+Result<MappingExpression> ParseExpression(std::string_view script,
+                                          size_t first_line = 1);
 
 // Parses exactly one operator; fails on trailing input.
 Result<Op> ParseOp(std::string_view text);

@@ -22,9 +22,23 @@ Database::CowStats Database::ThreadCowStats() {
   return out;
 }
 
+const Database::RelationMap& Database::EmptyRelations() {
+  static const RelationMap* const empty = new RelationMap();
+  return *empty;
+}
+
+Database::RelationMap& Database::MutableRelations() {
+  if (relations_ == nullptr) {
+    relations_ = std::make_shared<RelationMap>();
+  } else if (relations_.use_count() != 1) {
+    relations_ = std::make_shared<RelationMap>(*relations_);
+  }
+  return *relations_;
+}
+
 Database::Database(const Database& other)
     : relations_(other.relations_), fingerprint_(other.fingerprint_) {
-  tl_relations_shared += relations_.size();
+  tl_relations_shared += relations().size();
 }
 
 Database& Database::operator=(const Database& other) {
@@ -34,9 +48,12 @@ Database& Database::operator=(const Database& other) {
     // first shared, and the relations dropped by the assignment must not
     // inflate the tally either.
     uint64_t newly_shared = 0;
-    for (const auto& [name, rel] : other.relations_) {
-      auto it = relations_.find(name);
-      if (it == relations_.end() || it->second != rel) ++newly_shared;
+    if (relations_ != other.relations_) {
+      const RelationMap& mine = relations();
+      for (const auto& [name, rel] : other.relations()) {
+        auto it = mine.find(name);
+        if (it == mine.end() || it->second != rel) ++newly_shared;
+      }
     }
     relations_ = other.relations_;
     fingerprint_ = other.fingerprint_;
@@ -50,12 +67,12 @@ Status Database::AddRelation(Relation relation) {
   if (name.empty()) {
     return Status::InvalidArgument("relation name must be non-empty");
   }
-  if (relations_.contains(name)) {
+  if (relations().contains(name)) {
     return Status::AlreadyExists("relation '" + name + "' already exists");
   }
   RelationPtr ptr = std::make_shared<Relation>(std::move(relation));
   if (fingerprint_.has_value()) fingerprint_->Add(ptr->Fingerprint());
-  relations_.emplace(std::move(name), std::move(ptr));
+  MutableRelations().emplace(std::move(name), std::move(ptr));
   return Status::OK();
 }
 
@@ -65,29 +82,31 @@ void Database::PutRelation(Relation relation) {
 
 void Database::PutRelation(RelationPtr relation) {
   std::string name = relation->name();
-  auto it = relations_.find(name);
+  RelationMap& map = MutableRelations();
+  auto it = map.find(name);
   if (fingerprint_.has_value()) {
-    if (it != relations_.end()) {
+    if (it != map.end()) {
       fingerprint_->Subtract(it->second->Fingerprint());
     }
     fingerprint_->Add(relation->Fingerprint());
   }
-  if (it != relations_.end()) {
+  if (it != map.end()) {
     it->second = std::move(relation);
   } else {
-    relations_.emplace(std::move(name), std::move(relation));
+    map.emplace(std::move(name), std::move(relation));
   }
 }
 
 Status Database::RemoveRelation(std::string_view name) {
-  auto it = relations_.find(std::string(name));
-  if (it == relations_.end()) {
+  if (!HasRelation(name)) {
     return Status::NotFound("relation '" + std::string(name) + "' not found");
   }
+  RelationMap& map = MutableRelations();
+  auto it = map.find(std::string(name));
   if (fingerprint_.has_value()) {
     fingerprint_->Subtract(it->second->Fingerprint());
   }
-  relations_.erase(it);
+  map.erase(it);
   return Status::OK();
 }
 
@@ -95,16 +114,17 @@ Status Database::RenameRelation(std::string_view from, const std::string& to) {
   if (to.empty()) {
     return Status::InvalidArgument("relation name must be non-empty");
   }
-  auto it = relations_.find(std::string(from));
-  if (it == relations_.end()) {
+  if (!HasRelation(from)) {
     return Status::NotFound("relation '" + std::string(from) + "' not found");
   }
-  if (relations_.contains(to)) {
+  if (HasRelation(to)) {
     return Status::AlreadyExists("relation '" + to + "' already exists");
   }
+  RelationMap& map = MutableRelations();
+  auto it = map.find(std::string(from));
   RelationPtr r = std::move(it->second);
   if (fingerprint_.has_value()) fingerprint_->Subtract(r->Fingerprint());
-  relations_.erase(it);
+  map.erase(it);
   if (r.use_count() == 1) {
     // Sole owner: rename in place. Safe because every Relation is created
     // non-const via make_shared<Relation>.
@@ -116,27 +136,28 @@ Status Database::RenameRelation(std::string_view from, const std::string& to) {
     ++tl_cow_copies;
   }
   if (fingerprint_.has_value()) fingerprint_->Add(r->Fingerprint());
-  relations_.emplace(to, std::move(r));
+  map.emplace(to, std::move(r));
   return Status::OK();
 }
 
 bool Database::HasRelation(std::string_view name) const {
-  return relations_.contains(std::string(name));
+  return relations().contains(std::string(name));
 }
 
 Result<const Relation*> Database::GetRelation(std::string_view name) const {
-  auto it = relations_.find(std::string(name));
-  if (it == relations_.end()) {
+  const RelationMap& map = relations();
+  auto it = map.find(std::string(name));
+  if (it == map.end()) {
     return Status::NotFound("relation '" + std::string(name) + "' not found");
   }
   return it->second.get();
 }
 
 Result<Relation*> Database::GetMutableRelation(std::string_view name) {
-  auto it = relations_.find(std::string(name));
-  if (it == relations_.end()) {
+  if (!HasRelation(name)) {
     return Status::NotFound("relation '" + std::string(name) + "' not found");
   }
+  auto it = MutableRelations().find(std::string(name));
   // The caller may mutate through the pointer at any later time, so the
   // cached fingerprint cannot be maintained incrementally here.
   fingerprint_.reset();
@@ -149,19 +170,19 @@ Result<Relation*> Database::GetMutableRelation(std::string_view name) {
 
 std::vector<std::string> Database::RelationNames() const {
   std::vector<std::string> names;
-  names.reserve(relations_.size());
-  for (const auto& [name, rel] : relations_) names.push_back(name);
+  names.reserve(relation_count());
+  for (const auto& [name, rel] : relations()) names.push_back(name);
   return names;
 }
 
 size_t Database::TupleCount() const {
   size_t n = 0;
-  for (const auto& [name, rel] : relations_) n += rel->size();
+  for (const auto& [name, rel] : relations()) n += rel->size();
   return n;
 }
 
 Status Database::Validate() const {
-  for (const auto& [key, rel] : relations_) {
+  for (const auto& [key, rel] : relations()) {
     if (rel == nullptr) {
       return Status::Internal("relation '" + key + "' is null");
     }
@@ -209,9 +230,10 @@ Status Database::Validate() const {
 }
 
 bool Database::Contains(const Database& target) const {
-  for (const auto& [name, trel] : target.relations_) {
-    auto it = relations_.find(name);
-    if (it == relations_.end()) return false;
+  const RelationMap& mine = relations();
+  for (const auto& [name, trel] : target.relations()) {
+    auto it = mine.find(name);
+    if (it == mine.end()) return false;
     const Relation& srel = *it->second;
     // Target attributes must all be present here.
     for (const std::string& attr : trel->attributes()) {
@@ -237,7 +259,7 @@ bool Database::Contains(const Database& target) const {
 
 std::string Database::CanonicalKey() const {
   std::string key;
-  for (const auto& [name, rel] : relations_) {
+  for (const auto& [name, rel] : relations()) {
     key += rel->CanonicalKey();
     key += ";";
   }
@@ -247,7 +269,7 @@ std::string Database::CanonicalKey() const {
 Fp128 Database::Fingerprint128() const {
   if (!fingerprint_.has_value()) {
     Fp128 fp;
-    for (const auto& [name, rel] : relations_) fp.Add(rel->Fingerprint());
+    for (const auto& [name, rel] : relations()) fp.Add(rel->Fingerprint());
     fingerprint_ = fp;
   }
   return *fingerprint_;
@@ -256,7 +278,7 @@ Fp128 Database::Fingerprint128() const {
 std::string Database::ToString() const {
   std::string out;
   bool first = true;
-  for (const auto& [name, rel] : relations_) {
+  for (const auto& [name, rel] : relations()) {
     if (!first) out += "\n";
     first = false;
     out += rel->ToString();

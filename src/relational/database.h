@@ -20,14 +20,20 @@ namespace tupelo {
 // are the states of TUPELO's search space; they are value types (copied
 // freely) with a stable structural fingerprint for duplicate detection.
 //
-// Relations are held by shared_ptr-to-const with copy-on-write semantics:
-// copying a Database shares every relation with the original, and only a
-// relation actually mutated through GetMutableRelation is cloned (and only
-// when still shared). A successor state produced by a FIRA operator
-// therefore materializes exactly the one relation the operator touched.
+// Copies share at two levels, each copy-on-write. The name-to-relation
+// map sits behind one pointer, so copying a Database copies that pointer;
+// the first mutator called on a copy whose map is still shared clones the
+// map (relation pointers only). Relations are held by shared_ptr-to-const,
+// and only a relation actually mutated through GetMutableRelation (or
+// renamed) is cloned, and only when still shared; a relation clone shares
+// its tuple body in turn (relational/relation.h). A successor state
+// produced by a FIRA operator therefore materializes exactly what the
+// operator changed. A shared map or relation is never written, so copies
+// may be read from several threads at once.
 class Database {
  public:
   using RelationPtr = std::shared_ptr<const Relation>;
+  using RelationMap = std::map<std::string, RelationPtr>;
 
   // Copy-on-write telemetry: the events performed by the calling thread.
   // All COW work happens synchronously on the thread applying the
@@ -73,12 +79,12 @@ class Database {
   std::vector<std::string> RelationNames() const;
 
   // Relations in name-sorted order.
-  const std::map<std::string, RelationPtr>& relations() const {
-    return relations_;
+  const RelationMap& relations() const {
+    return relations_ != nullptr ? *relations_ : EmptyRelations();
   }
 
-  size_t relation_count() const { return relations_.size(); }
-  bool empty() const { return relations_.empty(); }
+  size_t relation_count() const { return relations().size(); }
+  bool empty() const { return relations().empty(); }
 
   // Total number of tuples across relations.
   size_t TupleCount() const;
@@ -121,7 +127,13 @@ class Database {
   std::string ToString() const;
 
  private:
-  std::map<std::string, RelationPtr> relations_;
+  static const RelationMap& EmptyRelations();
+
+  // The map, cloned first when a copy still shares it.
+  RelationMap& MutableRelations();
+
+  // Null until the first relation; shared between copies (see above).
+  std::shared_ptr<RelationMap> relations_;
   mutable std::optional<Fp128> fingerprint_;
 };
 

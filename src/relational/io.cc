@@ -57,8 +57,8 @@ Result<Relation> ParseRelation(Scanner& in) {
 
 }  // namespace
 
-Result<Database> ParseTdb(std::string_view text) {
-  Scanner in(text, kTdbDelims);
+Result<Database> ParseTdb(std::string_view text, size_t first_line) {
+  Scanner in(text, kTdbDelims, first_line);
   Database db;
   while (!in.AtEnd()) {
     TUPELO_ASSIGN_OR_RETURN(Relation rel, ParseRelation(in));

@@ -20,7 +20,9 @@ namespace tupelo {
 // Atoms follow the text layer's rules (common/text.h) with the
 // delimiters ( ) { } ,; `null` (bare, case sensitive) is the null value.
 // Relation and attribute names are atoms too, but never bare `null`.
-Result<Database> ParseTdb(std::string_view text);
+// Error lines count from `first_line`, the number of the text's first
+// line in the file that embeds it.
+Result<Database> ParseTdb(std::string_view text, size_t first_line = 1);
 
 // Serializes `db` in .tdb format; round-trips through ParseTdb.
 std::string WriteTdb(const Database& db);

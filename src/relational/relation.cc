@@ -29,7 +29,30 @@ Result<Relation> Relation::Create(std::string name,
   Relation r;
   r.name_ = std::move(name);
   r.attributes_ = std::move(attributes);
+  r.order_.resize(r.attributes_.size());
+  std::iota(r.order_.begin(), r.order_.end(), 0u);
+  std::sort(r.order_.begin(), r.order_.end(), [&r](uint32_t a, uint32_t b) {
+    return r.attributes_[a] < r.attributes_[b];
+  });
   return r;
+}
+
+std::vector<Tuple>& Relation::MutableTuples() {
+  if (body_ == nullptr) {
+    body_ = std::make_shared<std::vector<Tuple>>();
+  } else if (body_.use_count() != 1) {
+    body_ = std::make_shared<std::vector<Tuple>>(*body_);
+  }
+  return *body_;
+}
+
+size_t Relation::OrderPosition(std::string_view attr) const {
+  return static_cast<size_t>(
+      std::lower_bound(order_.begin(), order_.end(), attr,
+                       [this](uint32_t i, std::string_view a) {
+                         return attributes_[i] < a;
+                       }) -
+      order_.begin());
 }
 
 std::optional<size_t> Relation::AttributeIndex(std::string_view attr) const {
@@ -45,7 +68,7 @@ Status Relation::AddTuple(Tuple tuple) {
         "tuple arity " + std::to_string(tuple.size()) + " != schema arity " +
         std::to_string(attributes_.size()) + " in " + name_);
   }
-  tuples_.push_back(std::move(tuple));
+  MutableTuples().push_back(std::move(tuple));
   InvalidateFingerprint();
   return Status::OK();
 }
@@ -62,8 +85,12 @@ Status Relation::AddAttribute(const std::string& attr, const Value& fill) {
     return Status::AlreadyExists("attribute '" + attr + "' already in " +
                                  name_);
   }
+  order_.insert(order_.begin() + static_cast<ptrdiff_t>(OrderPosition(attr)),
+                static_cast<uint32_t>(attributes_.size()));
   attributes_.push_back(attr);
-  for (Tuple& t : tuples_) t.Append(fill);
+  if (!empty()) {
+    for (Tuple& t : MutableTuples()) t.Append(fill);
+  }
   InvalidateFingerprint();
   return Status::OK();
 }
@@ -74,8 +101,14 @@ Status Relation::DropAttribute(std::string_view attr) {
     return Status::NotFound("attribute '" + std::string(attr) + "' not in " +
                             name_);
   }
+  order_.erase(order_.begin() + static_cast<ptrdiff_t>(OrderPosition(attr)));
+  for (uint32_t& i : order_) {
+    if (i > *idx) --i;
+  }
   attributes_.erase(attributes_.begin() + static_cast<ptrdiff_t>(*idx));
-  for (Tuple& t : tuples_) t.Erase(*idx);
+  if (!empty()) {
+    for (Tuple& t : MutableTuples()) t.Erase(*idx);
+  }
   InvalidateFingerprint();
   return Status::OK();
 }
@@ -92,7 +125,10 @@ Status Relation::RenameAttribute(std::string_view from, const std::string& to) {
   if (HasAttribute(to)) {
     return Status::AlreadyExists("attribute '" + to + "' already in " + name_);
   }
+  order_.erase(order_.begin() + static_cast<ptrdiff_t>(OrderPosition(from)));
   attributes_[*idx] = to;
+  order_.insert(order_.begin() + static_cast<ptrdiff_t>(OrderPosition(to)),
+                static_cast<uint32_t>(*idx));
   InvalidateFingerprint();
   return Status::OK();
 }
@@ -106,7 +142,7 @@ Result<std::vector<std::string>> Relation::DistinctValues(
   }
   std::vector<std::string> out;
   std::unordered_set<std::string_view> seen;
-  for (const Tuple& t : tuples_) {
+  for (const Tuple& t : tuples()) {
     const Value& v = t[*idx];
     if (v.is_null()) continue;
     if (seen.insert(v.atom()).second) out.push_back(v.atom());
@@ -126,8 +162,8 @@ Result<std::vector<Tuple>> Relation::ProjectTuples(
     indices.push_back(*idx);
   }
   std::vector<Tuple> out;
-  out.reserve(tuples_.size());
-  for (const Tuple& t : tuples_) {
+  out.reserve(size());
+  for (const Tuple& t : tuples()) {
     std::vector<Value> vs;
     vs.reserve(indices.size());
     for (size_t i : indices) vs.push_back(t[i]);
@@ -136,44 +172,17 @@ Result<std::vector<Tuple>> Relation::ProjectTuples(
   return out;
 }
 
-std::vector<size_t> Relation::CanonicalOrder() const {
-  std::vector<size_t> order(attributes_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    return attributes_[a] < attributes_[b];
-  });
-  return order;
-}
-
-Relation Relation::Canonical() const {
-  std::vector<size_t> order = CanonicalOrder();
-
-  Relation out;
-  out.name_ = name_;
-  out.attributes_.reserve(attributes_.size());
-  for (size_t i : order) out.attributes_.push_back(attributes_[i]);
-  out.tuples_.reserve(tuples_.size());
-  for (const Tuple& t : tuples_) {
-    std::vector<Value> vs;
-    vs.reserve(order.size());
-    for (size_t i : order) vs.push_back(t[i]);
-    out.tuples_.emplace_back(std::move(vs));
-  }
-  std::sort(out.tuples_.begin(), out.tuples_.end());
-  return out;
-}
-
 std::string Relation::CanonicalKey() const {
-  std::vector<size_t> order = CanonicalOrder();
+  const std::vector<Tuple>& tuples = this->tuples();
 
   // Tuple rows in canonical order: compare columns through the attribute
   // permutation instead of materializing permuted tuples.
-  std::vector<size_t> rows(tuples_.size());
+  std::vector<size_t> rows(tuples.size());
   std::iota(rows.begin(), rows.end(), 0);
   std::sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
-    const Tuple& ta = tuples_[a];
-    const Tuple& tb = tuples_[b];
-    for (size_t i : order) {
+    const Tuple& ta = tuples[a];
+    const Tuple& tb = tuples[b];
+    for (uint32_t i : order_) {
       auto cmp = ta[i] <=> tb[i];
       if (cmp != 0) return cmp < 0;
     }
@@ -181,17 +190,17 @@ std::string Relation::CanonicalKey() const {
   });
 
   std::string key = Quote(name_) + "[";
-  for (size_t i = 0; i < order.size(); ++i) {
+  for (size_t i = 0; i < order_.size(); ++i) {
     if (i > 0) key += ",";
-    key += Quote(attributes_[order[i]]);
+    key += Quote(attributes_[order_[i]]);
   }
   key += "]{";
   for (size_t r : rows) {
-    const Tuple& t = tuples_[r];
+    const Tuple& t = tuples[r];
     key += "(";
-    for (size_t i = 0; i < order.size(); ++i) {
+    for (size_t i = 0; i < order_.size(); ++i) {
       if (i > 0) key += ",";
-      const Value& v = t[order[i]];
+      const Value& v = t[order_[i]];
       key += v.is_null() ? std::string("@null") : Quote(v.atom());
     }
     key += ")";
@@ -216,14 +225,12 @@ Fp128 Relation::Fingerprint() const {
     return Fp128{fp_lo_.load(std::memory_order_relaxed),
                  fp_hi_.load(std::memory_order_relaxed)};
   }
-  std::vector<size_t> order = CanonicalOrder();
-
   // Header: name then attributes in canonical order, chained sequentially
   // (the order is already canonical, so sequence-sensitivity is fine and
   // keeps attribute positions from commuting with each other).
   uint64_t lo = Fnv1aSeeded(name_, kFpSeedLo);
   uint64_t hi = Fnv1aSeeded(name_, kFpSeedHi);
-  for (size_t i : order) {
+  for (uint32_t i : order_) {
     lo = HashChain(lo, Fnv1aSeeded(attributes_[i], kFpSeedLo));
     hi = HashChain(hi, Fnv1aSeeded(attributes_[i], kFpSeedHi));
   }
@@ -232,10 +239,10 @@ Fp128 Relation::Fingerprint() const {
   // with a wrapping sum so the tuple bag hashes the same in any order.
   uint64_t bag_lo = 0;
   uint64_t bag_hi = 0;
-  for (const Tuple& t : tuples_) {
+  for (const Tuple& t : tuples()) {
     uint64_t tlo = kFpSeedLo;
     uint64_t thi = kFpSeedHi;
-    for (size_t i : order) {
+    for (uint32_t i : order_) {
       tlo = HashChain(tlo, HashCell(t[i], kFpSeedLo));
       thi = HashChain(thi, HashCell(t[i], kFpSeedHi));
     }
@@ -244,8 +251,8 @@ Fp128 Relation::Fingerprint() const {
   }
 
   Fp128 fp;
-  fp.lo = HashChain(HashChain(lo, bag_lo), tuples_.size());
-  fp.hi = HashChain(HashChain(hi, bag_hi), tuples_.size());
+  fp.lo = HashChain(HashChain(lo, bag_lo), size());
+  fp.hi = HashChain(HashChain(hi, bag_hi), size());
   fp_lo_.store(fp.lo, std::memory_order_relaxed);
   fp_hi_.store(fp.hi, std::memory_order_relaxed);
   fp_valid_.store(true, std::memory_order_release);
@@ -254,7 +261,7 @@ Fp128 Relation::Fingerprint() const {
 
 std::string Relation::ToString() const {
   std::string out = name_ + "(" + Join(attributes_, ", ") + ")";
-  for (const Tuple& t : tuples_) {
+  for (const Tuple& t : tuples()) {
     out += "\n  " + t.ToString();
   }
   return out;

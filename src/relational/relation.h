@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -21,6 +22,13 @@ namespace tupelo {
 // Attribute names are unique within a relation; tuple order is not
 // semantically meaningful (canonicalization sorts tuples), but insertion
 // order is preserved for display.
+//
+// Copies share the tuple body: copying a relation copies its name, its
+// attributes and a pointer, and the first tuple or column mutation of a
+// copy whose body is still shared clones the body first (the rule
+// Database applies to relations). Renaming the relation or an attribute
+// never touches the body, so it costs O(arity). A shared body is never
+// written, so copies may be read from several threads at once.
 class Relation {
  public:
   Relation() = default;
@@ -30,29 +38,34 @@ class Relation {
   Relation(const Relation& other)
       : name_(other.name_),
         attributes_(other.attributes_),
-        tuples_(other.tuples_) {
+        order_(other.order_),
+        body_(other.body_) {
     CopyFingerprintCache(other);
   }
   Relation& operator=(const Relation& other) {
     if (this != &other) {
       name_ = other.name_;
       attributes_ = other.attributes_;
-      tuples_ = other.tuples_;
+      order_ = other.order_;
+      body_ = other.body_;
       CopyFingerprintCache(other);
     }
     return *this;
   }
+  // A moved-from relation reads as empty.
   Relation(Relation&& other) noexcept
       : name_(std::move(other.name_)),
         attributes_(std::move(other.attributes_)),
-        tuples_(std::move(other.tuples_)) {
+        order_(std::move(other.order_)),
+        body_(std::move(other.body_)) {
     CopyFingerprintCache(other);
   }
   Relation& operator=(Relation&& other) noexcept {
     if (this != &other) {
       name_ = std::move(other.name_);
       attributes_ = std::move(other.attributes_);
-      tuples_ = std::move(other.tuples_);
+      order_ = std::move(other.order_);
+      body_ = std::move(other.body_);
       CopyFingerprintCache(other);
     }
     return *this;
@@ -72,9 +85,11 @@ class Relation {
   const std::vector<std::string>& attributes() const { return attributes_; }
   size_t arity() const { return attributes_.size(); }
 
-  const std::vector<Tuple>& tuples() const { return tuples_; }
-  size_t size() const { return tuples_.size(); }
-  bool empty() const { return tuples_.empty(); }
+  const std::vector<Tuple>& tuples() const {
+    return body_ != nullptr ? *body_ : kNoTuples;
+  }
+  size_t size() const { return tuples().size(); }
+  bool empty() const { return tuples().empty(); }
 
   // Position of attribute `attr`, or nullopt.
   std::optional<size_t> AttributeIndex(std::string_view attr) const;
@@ -86,7 +101,7 @@ class Relation {
   Status AddTuple(Tuple tuple);
 
   // Pre-allocates tuple storage for bulk builders (compiled apply loops).
-  void ReserveTuples(size_t n) { tuples_.reserve(n); }
+  void ReserveTuples(size_t n) { MutableTuples().reserve(n); }
 
   // Convenience for tests/fixtures: appends a tuple of non-null atoms.
   Status AddRow(const std::vector<std::string>& atoms);
@@ -110,11 +125,6 @@ class Relation {
   Result<std::vector<Tuple>> ProjectTuples(
       const std::vector<std::string>& attrs) const;
 
-  // Returns a copy with attributes sorted by name (columns permuted
-  // consistently) and tuples sorted; equal canonical forms identify equal
-  // relation contents.
-  Relation Canonical() const;
-
   // Stable text fingerprint of the canonical form, used for state hashing.
   // Computed via index permutations over the live representation; no
   // canonical copy of the relation is materialized.
@@ -122,7 +132,7 @@ class Relation {
 
   // 128-bit structural fingerprint of the canonical form (name, schema as
   // a set, tuple bag), hashed directly from schema and tuples: attributes
-  // contribute in sorted order and tuples through a commutative combine,
+  // contribute in name order and tuples through a commutative combine,
   // so presentation order never matters and no string is materialized.
   // Cached until the next mutation; relations shared immutably between
   // databases therefore pay the O(arity * tuples) cost once, ever.
@@ -140,9 +150,13 @@ class Relation {
   }
 
  private:
-  // Attribute indices in name-sorted order: the column permutation behind
-  // CanonicalKey and Fingerprint.
-  std::vector<size_t> CanonicalOrder() const;
+  inline static const std::vector<Tuple> kNoTuples;
+
+  // The tuple body, cloned first when a copy still shares it.
+  std::vector<Tuple>& MutableTuples();
+
+  // Where attribute `attr` sits, or would sit, in order_.
+  size_t OrderPosition(std::string_view attr) const;
 
   void CopyFingerprintCache(const Relation& other) {
     if (other.fp_valid_.load(std::memory_order_acquire)) {
@@ -162,7 +176,13 @@ class Relation {
 
   std::string name_;
   std::vector<std::string> attributes_;
-  std::vector<Tuple> tuples_;
+  // Attribute indices in name order: the column permutation behind
+  // CanonicalKey and Fingerprint. Create sorts it once; each attribute
+  // mutation moves, removes or inserts one index, so it always equals a
+  // fresh sort (names are distinct).
+  std::vector<uint32_t> order_;
+  // Null until the first tuple; shared between copies (see above).
+  std::shared_ptr<std::vector<Tuple>> body_;
   // Lazy fingerprint cache. A Relation is shared immutably across Database
   // copies — and, under the parallel runtime, across threads — so the lazy
   // fill must be race-free without a mutex: the writer stores both lanes

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -74,6 +75,18 @@ DiscoveryCheckpoint FullCheckpoint() {
   cp.seed.closed.push_back({Fp128{1, 2}, 0});
   cp.seed.closed.push_back({Fp128{3, 4}, 6});
   return cp;
+}
+
+// `payload` followed by its checksum line, so ParseCheckpoint gets past
+// the checksum to whatever the payload holds.
+std::string WithChecksum(const std::string& payload) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "checksum %016llx:%016llx\n",
+                static_cast<unsigned long long>(
+                    Fnv1aSeeded(payload, kFpSeedLo)),
+                static_cast<unsigned long long>(
+                    Fnv1aSeeded(payload, kFpSeedHi)));
+  return payload + buf;
 }
 
 std::string Script(const std::vector<Op>& path) {
@@ -220,17 +233,34 @@ TEST(CheckpointCorruptionTest, WrongVersionIsFailedPrecondition) {
   size_t eol = text.find('\n');
   std::string payload = "tupelo-checkpoint 2" + text.substr(eol);
   payload.resize(payload.rfind("checksum "));
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "checksum %016llx:%016llx\n",
-                static_cast<unsigned long long>(
-                    Fnv1aSeeded(payload, kFpSeedLo)),
-                static_cast<unsigned long long>(
-                    Fnv1aSeeded(payload, kFpSeedHi)));
-  Result<DiscoveryCheckpoint> r = ParseCheckpoint(payload + buf);
+  Result<DiscoveryCheckpoint> r = ParseCheckpoint(WithChecksum(payload));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(r.status().ToString().find("unsupported checkpoint format"),
             std::string::npos);
+}
+
+TEST(CheckpointCorruptionTest, SectionErrorsNameTheFileLine) {
+  // Lines 17 and 21 of kFullCheckpointTck hold the first frontier node's
+  // path script and state. A broken body, with a valid checksum, must
+  // fail naming its line in the file.
+  const std::string payload = std::string(kFullCheckpointTck)
+                                  .substr(0, std::string(kFullCheckpointTck)
+                                                 .rfind("checksum "));
+  for (const auto& [from, to, line] :
+       {std::tuple<const char*, const char*, const char*>{
+            "rename_att(R, A, C)\n", "rename_att(R, A)\n", "at line 17"},
+        {"  (1)\n", "  (1 2)\n", "at line 21"}}) {
+    std::string broken = payload;
+    const size_t at = broken.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    broken.replace(at, std::string(from).size(), to);
+    Result<DiscoveryCheckpoint> r = ParseCheckpoint(WithChecksum(broken));
+    ASSERT_FALSE(r.ok()) << to;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    EXPECT_NE(r.status().message().find(line), std::string::npos)
+        << r.status();
+  }
 }
 
 TEST(CheckpointCorruptionTest, AtomicWriteReplacesWholeFileOnly) {

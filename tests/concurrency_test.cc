@@ -278,6 +278,79 @@ TEST(CowAttributionTest, ProblemMetricsAttributePerProblem) {
 }
 
 // ---------------------------------------------------------------------------
+// Copy-on-write states across threads
+// ---------------------------------------------------------------------------
+
+// The synthetic source relation R(A1..A8) plus a relation S no worker
+// touches, so that every worker's map clone still shares S.
+Database SharedState() {
+  Database db = MakeSyntheticMatchingPair(8).source;
+  Result<Relation> s = Relation::Create("S", {"k", "v"});
+  EXPECT_TRUE(s.ok());
+  EXPECT_TRUE(s->AddRow({"k1", "v1"}).ok());
+  EXPECT_TRUE(s->AddRow({"k2", "v2"}).ok());
+  EXPECT_TRUE(db.AddRelation(std::move(s).value()).ok());
+  return db;
+}
+
+// Task k's edit of R: a rename (which keeps sharing R's tuple body), a
+// drop or an appended row (which clone it).
+Status EditCopy(Database& db, int k) {
+  TUPELO_ASSIGN_OR_RETURN(Relation * rel, db.GetMutableRelation("R"));
+  switch (k % 3) {
+    case 0:
+      return rel->RenameAttribute("A1", "X" + std::to_string(k));
+    case 1:
+      return rel->DropAttribute("A2");
+    default:
+      return rel->AddRow(
+          std::vector<std::string>(rel->arity(), "v" + std::to_string(k)));
+  }
+}
+
+// Pool workers copy one shared state, fingerprint the copy, edit it and
+// fingerprint it again, while the caller fingerprints further copies of
+// the original. The map, the relations and the tuple bodies are shared
+// by all of them and never written while shared; under TSan (tsan_smoke)
+// this is the race check for copy-on-write states.
+TEST(SharedStateTest, WorkersEditCopiesWhileCallerFingerprints) {
+  constexpr int kTasks = 48;
+  const Fp128 original_fp = SharedState().Fingerprint128();
+  std::vector<Fp128> want(kTasks);
+  for (int k = 0; k < kTasks; ++k) {
+    Database reference = SharedState();
+    ASSERT_TRUE(EditCopy(reference, k).ok());
+    want[k] = reference.Fingerprint128();
+  }
+
+  const Database shared = SharedState();  // no fingerprint cached yet
+  std::vector<Fp128> before(kTasks);
+  std::vector<Fp128> after(kTasks);
+  ThreadPool pool(4);
+  WaitGroup wg;
+  wg.Add(kTasks);
+  for (int k = 0; k < kTasks; ++k) {
+    pool.Submit([&, k] {
+      Database copy = shared;
+      before[k] = copy.Fingerprint128();
+      if (EditCopy(copy, k).ok()) after[k] = copy.Fingerprint128();
+      wg.Done();
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
+    Database again = shared;
+    EXPECT_EQ(again.Fingerprint128(), original_fp);
+  }
+  wg.Wait();
+
+  for (int k = 0; k < kTasks; ++k) {
+    EXPECT_EQ(before[k], original_fp) << k;
+    EXPECT_EQ(after[k], want[k]) << k;
+  }
+  EXPECT_EQ(shared.CanonicalKey(), SharedState().CanonicalKey());
+}
+
+// ---------------------------------------------------------------------------
 // Beam over a pool: bit-identical outcomes
 // ---------------------------------------------------------------------------
 

@@ -160,6 +160,28 @@ TEST(ExecutorEquivalenceTest, SeededSweepOverAllWorkloadGenerators) {
 // each is a minimal repro kept as a regression test.
 // ---------------------------------------------------------------------------
 
+// A segment of renames only (a swap, then rename_rel) leaves the tuples as
+// they are: its output relation shares the input's tuple body, and the
+// relations it does not address stay shared outright.
+TEST(ExecutorEquivalenceTest, RenameOnlySegmentSharesTheInputTuples) {
+  Database input = Tdb(
+      "relation R (A, B, C) { (1, 2, 3) (4, 5, 6) } relation T (Z) { (z) }");
+  MappingExpression expr(std::vector<Op>{
+      RenameAttrOp{"R", "A", "X"}, RenameAttrOp{"R", "B", "A"},
+      RenameAttrOp{"R", "X", "B"}, RenameRelOp{"R", "S"}});
+  CompiledExecutor compiled(expr);
+  ASSERT_EQ(compiled.plan().segments.size(), 1u);
+  Result<Database> out = compiled.Apply(input);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_FALSE(out->HasRelation("R"));
+  const Relation& renamed = *out->GetRelation("S").value();
+  EXPECT_EQ(renamed.attributes(), (std::vector<std::string>{"B", "A", "C"}));
+  EXPECT_EQ(renamed.tuples().data(),
+            input.GetRelation("R").value()->tuples().data());
+  EXPECT_EQ(out->relations().at("T").get(), input.relations().at("T").get());
+  ExpectEquivalent(expr, input);
+}
+
 TEST(ExecutorEquivalenceTest, EmptyRelationThroughFusedChain) {
   Database db = Tdb("relation R (A, B) { }");
   ExpectEquivalent(MappingExpression(std::vector<Op>{

@@ -114,6 +114,29 @@ TEST_F(BuiltinsTest, IntegerArithmetic) {
   EXPECT_TRUE(Fails("add", {"x", "1"}));
   EXPECT_TRUE(Fails("add", {"1.5", "1"}));
   EXPECT_TRUE(Fails("mul", {"", "1"}));
+  // The whole int64_t range reads, a leading '+' included; past it, an
+  // input or a result is an error (⊥ for the tuple), never a wrapped or
+  // saturated number.
+  EXPECT_EQ(Call("add", {"+7", "-9223372036854775808"}),
+            "-9223372036854775801");
+  EXPECT_EQ(Call("sub", {"9223372036854775807", "0"}), "9223372036854775807");
+  EXPECT_TRUE(Fails("add", {"9223372036854775807", "1"}));
+  EXPECT_TRUE(Fails("sub", {"-9223372036854775808", "1"}));
+  EXPECT_TRUE(Fails("mul", {"4294967296", "4294967296"}));
+  EXPECT_TRUE(Fails("add", {"99999999999999999999", "0"}));
+  EXPECT_EQ(Call("usd_to_cents", {"92233720368547758.07"}),
+            "9223372036854775807");
+  EXPECT_TRUE(Fails("usd_to_cents", {"92233720368547758.08"}));
+  EXPECT_TRUE(Fails("usd_to_cents", {"100000000000000000.00"}));
+  // The sign is the whole amount's, and the cents carry none of their own.
+  EXPECT_EQ(Call("usd_to_cents", {"-1.50"}), "-150");
+  EXPECT_EQ(Call("usd_to_cents", {"-0.50"}), "-50");
+  EXPECT_EQ(Call("usd_to_cents", {"+1.50"}), "150");
+  EXPECT_EQ(Call("usd_to_cents", {"-92233720368547758.08"}),
+            "-9223372036854775808");
+  EXPECT_TRUE(Fails("usd_to_cents", {"-92233720368547758.09"}));
+  EXPECT_TRUE(Fails("usd_to_cents", {"1.-5"}));
+  EXPECT_TRUE(Fails("usd_to_cents", {"1.+5"}));
 }
 
 TEST_F(BuiltinsTest, ScalePct) {

@@ -65,6 +65,10 @@ TEST(GovernanceTest, DeadlineOnIntractableInstanceDegradesGracefully) {
   obs::MetricRegistry metrics;
   TupeloOptions options;
   options.limits.deadline_millis = 50;
+  // The beam rung examines at most 1 + 8 * max_depth states (513 at the
+  // default depth of 64), which a fast build finishes inside its share of
+  // the deadline; without a depth limit only the clock can stop it.
+  options.limits.max_depth = 1 << 20;
   options.ladder = DefaultLadder();
   options.metrics = &metrics;
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -180,6 +181,36 @@ TEST(MappingRepositoryTest, Rejections) {
   }
   // Unknown header keyword.
   EXPECT_FALSE(ParseMapping("tupelo-mapping 1\nbogus x\n").ok());
+  // An error inside a section names its line in the file, not in the
+  // section body.
+  Result<StoredMapping> bad_source = ParseMapping(
+      "tupelo-mapping 1\n"
+      "name m\n"
+      "# the source\n"
+      "begin source\n"
+      "relation R (A) {\n"
+      "  (1)\n"
+      "  (2 3)\n"
+      "}\n"
+      "end source\n");
+  ASSERT_FALSE(bad_source.ok());
+  EXPECT_EQ(bad_source.status().code(), StatusCode::kParseError);
+  EXPECT_NE(bad_source.status().message().find("at line 7"),
+            std::string::npos)
+      << bad_source.status();
+  std::string bad_expression = valid;
+  const size_t expression_at = valid.find("begin expression\n");
+  ASSERT_NE(expression_at, std::string::npos);
+  bad_expression.insert(expression_at + sizeof("begin expression\n") - 1,
+                        "bogus(R)\n");
+  const size_t bogus_line =
+      1 + std::count(valid.begin(), valid.begin() + expression_at, '\n') + 1;
+  Result<StoredMapping> bad_op = ParseMapping(bad_expression);
+  ASSERT_FALSE(bad_op.ok());
+  EXPECT_NE(bad_op.status().message().find(
+                "at line " + std::to_string(bogus_line)),
+            std::string::npos)
+      << bad_op.status();
 }
 
 TEST(MappingRepositoryTest, EndToEndFromDiscovery) {

@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/text.h"
 #include "core/mapping_problem.h"
 #include "fira/executor.h"
 #include "heuristics/heuristic_factory.h"
@@ -285,6 +291,174 @@ TEST(CowTest, OperatorSuccessorNeverLeaksIntoParent) {
   EXPECT_EQ(parent.CanonicalKey(), parent_key);
   EXPECT_EQ(parent.Fingerprint128(), parent_fp);
   EXPECT_FALSE(parent.Fingerprint128() == next->Fingerprint128());
+}
+
+// ---------------------------------------------------------------------------
+// Shared tuple bodies and relation maps
+// ---------------------------------------------------------------------------
+
+Relation TwoRowRelation() {
+  Relation r = MakeRel("R", {"x", "y", "z"});
+  EXPECT_TRUE(r.AddRow({"1", "2", "3"}).ok());
+  EXPECT_TRUE(r.AddRow({"4", "5", "6"}).ok());
+  return r;
+}
+
+TEST(SharingTest, RelationCopiesShareTheBodyThroughRenames) {
+  Relation base = TwoRowRelation();
+  Relation copy = base;
+  EXPECT_EQ(copy.tuples().data(), base.tuples().data());
+  ASSERT_TRUE(copy.RenameAttribute("x", "w").ok());
+  copy.set_name("S");
+  EXPECT_EQ(copy.tuples().data(), base.tuples().data());
+  EXPECT_TRUE(base.HasAttribute("x"));
+  EXPECT_EQ(base.name(), "R");
+}
+
+TEST(SharingTest, EveryTupleMutatorUnsharesTheBody) {
+  const Relation base = TwoRowRelation();
+  const std::string base_key = base.CanonicalKey();
+  const std::vector<std::pair<const char*, std::function<Status(Relation&)>>>
+      mutators = {
+          {"AddRow", [](Relation& r) { return r.AddRow({"7", "8", "9"}); }},
+          {"AddAttribute", [](Relation& r) { return r.AddAttribute("v"); }},
+          {"DropAttribute", [](Relation& r) { return r.DropAttribute("y"); }},
+          {"ReserveTuples",
+           [](Relation& r) {
+             r.ReserveTuples(100);
+             return Status::OK();
+           }},
+      };
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    Relation copy = base;
+    ASSERT_TRUE(mutate(copy).ok());
+    EXPECT_NE(copy.tuples().data(), base.tuples().data());
+    EXPECT_EQ(base.CanonicalKey(), base_key);
+    EXPECT_EQ(base.size(), 2u);
+  }
+}
+
+TEST(SharingTest, MovedFromRelationReadsAsEmpty) {
+  Relation base = TwoRowRelation();
+  Relation moved = std::move(base);
+  EXPECT_EQ(moved.size(), 2u);
+  EXPECT_TRUE(base.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(base.tuples().empty());
+}
+
+TEST(SharingTest, DatabaseCopiesShareTheMapUntilEachMutator) {
+  Database parent;
+  ASSERT_TRUE(parent.AddRelation(TwoRowRelation()).ok());
+  ASSERT_TRUE(parent.AddRelation(MakeRel("S", {"y"})).ok());
+  const std::string parent_key = parent.CanonicalKey();
+  const std::vector<std::pair<const char*, std::function<Status(Database&)>>>
+      mutators = {
+          {"AddRelation",
+           [](Database& db) { return db.AddRelation(MakeRel("T", {"t"})); }},
+          {"PutRelation",
+           [](Database& db) {
+             db.PutRelation(MakeRel("T", {"t"}));
+             return Status::OK();
+           }},
+          {"RemoveRelation",
+           [](Database& db) { return db.RemoveRelation("S"); }},
+          {"RenameRelation",
+           [](Database& db) { return db.RenameRelation("R", "Q"); }},
+          {"GetMutableRelation",
+           [](Database& db) { return db.GetMutableRelation("R").status(); }},
+      };
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    Database child = parent;
+    EXPECT_EQ(&child.relations(), &parent.relations());
+    ASSERT_TRUE(mutate(child).ok());
+    EXPECT_NE(&child.relations(), &parent.relations());
+    EXPECT_EQ(parent.CanonicalKey(), parent_key);
+    EXPECT_EQ(parent.RelationNames(), (std::vector<std::string>{"R", "S"}));
+    // The map is cloned, the relations in it are not: R is the parent's
+    // until a relation-level mutation, and then it keeps the body.
+    if (child.HasRelation("R")) {
+      const Relation& mine = *child.GetRelation("R").value();
+      const Relation& theirs = *parent.GetRelation("R").value();
+      EXPECT_EQ(mine.tuples().data(), theirs.tuples().data());
+      EXPECT_EQ(&mine == &theirs,
+                std::string_view(name) != "GetMutableRelation");
+    }
+  }
+}
+
+TEST(SharingTest, FailedMutatorsLeaveTheMapShared) {
+  Database parent;
+  ASSERT_TRUE(parent.AddRelation(TwoRowRelation()).ok());
+  Database child = parent;
+  EXPECT_FALSE(child.AddRelation(MakeRel("R", {"a"})).ok());
+  EXPECT_FALSE(child.RemoveRelation("Nope").ok());
+  EXPECT_FALSE(child.RenameRelation("Nope", "Q").ok());
+  EXPECT_FALSE(child.RenameRelation("R", "R").ok());
+  EXPECT_FALSE(child.GetMutableRelation("Nope").ok());
+  EXPECT_EQ(&child.relations(), &parent.relations());
+}
+
+// The attribute order behind CanonicalKey and Fingerprint is kept up to
+// date by each attribute mutation instead of sorted per fingerprint.
+// After every step of random rename/drop/add sequences it must list the
+// attributes in sorted order, and the fingerprint must equal that of the
+// same contents built from scratch.
+TEST(SharingTest, MaintainedAttributeOrderMatchesAFreshSort) {
+  std::mt19937 rng(20260);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<std::string> attrs;
+    const int arity = 1 + static_cast<int>(rng() % 12);
+    for (int i = 0; i < arity; ++i) attrs.push_back("a" + std::to_string(i));
+    std::shuffle(attrs.begin(), attrs.end(), rng);
+    Relation rel = MakeRel("R", attrs);
+    for (int row = 0; row < 3; ++row) {
+      std::vector<std::string> atoms;
+      for (int i = 0; i < arity; ++i) {
+        atoms.push_back(std::to_string(rng() % 5));
+      }
+      ASSERT_TRUE(rel.AddRow(atoms).ok());
+    }
+    int fresh_name = 0;
+    for (int step = 0; step < 25; ++step) {
+      const Relation before = rel;  // shares rel's body while rel mutates
+      const std::string before_key = before.CanonicalKey();
+      const std::vector<std::string>& cur = rel.attributes();
+      const std::string pick = cur[rng() % cur.size()];
+      const std::string name = "n" + std::to_string(rng() % 40) + "_" +
+                               std::to_string(fresh_name++);
+      switch (rng() % 3) {
+        case 0:
+          ASSERT_TRUE(rel.RenameAttribute(pick, name).ok());
+          break;
+        case 1:
+          if (cur.size() > 1) {
+            ASSERT_TRUE(rel.DropAttribute(pick).ok());
+          }
+          break;
+        default:
+          ASSERT_TRUE(rel.AddAttribute(name, Value(std::to_string(step))).ok());
+      }
+
+      std::vector<std::string> sorted = rel.attributes();
+      std::sort(sorted.begin(), sorted.end());
+      std::string header = Quote("R") + "[";
+      for (size_t i = 0; i < sorted.size(); ++i) {
+        if (i > 0) header += ",";
+        header += Quote(sorted[i]);
+      }
+      header += "]{";
+      EXPECT_TRUE(rel.CanonicalKey().starts_with(header))
+          << rel.CanonicalKey() << " vs " << header;
+
+      Relation scratch = MakeRel("R", rel.attributes());
+      for (const Tuple& t : rel.tuples()) ASSERT_TRUE(scratch.AddTuple(t).ok());
+      ASSERT_EQ(rel.Fingerprint(), scratch.Fingerprint());
+      ASSERT_EQ(rel.CanonicalKey(), scratch.CanonicalKey());
+      ASSERT_EQ(before.CanonicalKey(), before_key);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
