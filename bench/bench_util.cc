@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -73,32 +72,57 @@ void PrintRow(const std::vector<std::string>& cells, int width) {
   std::fflush(stdout);
 }
 
+namespace {
+
+// Prints the shared flags' usage line and exits 2, as tupelo_cli and
+// tupelo_serve do on a bad flag.
+[[noreturn]] void ExitUsage(const char* program, std::string_view arg) {
+  std::fprintf(stderr,
+               "%s: bad flag value '%.*s'\n"
+               "usage: %s [--quick] [--budget=N] [--seed=N] [--threads=N] "
+               "[--algo=NAME] [--json=PATH] [--trace=PATH] "
+               "[--trace-buffer-kb=N] [--flight-recorder]\n"
+               "  --threads is at most %zu\n",
+               program, static_cast<int>(arg.size()), arg.data(), program,
+               kMaxThreads);
+  std::exit(2);
+}
+
+}  // namespace
+
 BenchArgs ParseBenchArgs(int argc, char** argv,
                          uint64_t default_budget) {
   BenchArgs args;
   args.budget = default_budget;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
-    if (arg.rfind("--budget=", 0) == 0) {
-      args.budget = std::strtoull(argv[i] + std::strlen("--budget="),
-                                  nullptr, 10);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      args.seed =
-          std::strtoull(argv[i] + std::strlen("--seed="), nullptr, 10);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      args.json_path = std::string(arg.substr(std::strlen("--json=")));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      args.threads = std::strtoull(argv[i] + std::strlen("--threads="),
-                                   nullptr, 10);
+    std::string_view value;
+    // True when `arg` is `<flag><value>`, with `value` set.
+    auto is = [&](std::string_view flag) {
+      if (!arg.starts_with(flag)) return false;
+      value = arg.substr(flag.size());
+      return true;
+    };
+    // Parses a numeric flag's whole value, non-negative and at most `max`.
+    auto number = [&](uint64_t& out, uint64_t max = UINT64_MAX) {
+      if (!ParseNumber(value, out) || out > max) ExitUsage(argv[0], arg);
+    };
+    if (is("--budget=")) {
+      number(args.budget);
+    } else if (is("--seed=")) {
+      number(args.seed);
+    } else if (is("--json=")) {
+      args.json_path = std::string(value);
+    } else if (is("--threads=")) {
+      number(args.threads, kMaxThreads);
       if (args.threads == 0) args.threads = 1;
-    } else if (arg.rfind("--algo=", 0) == 0) {
-      args.algo = std::string(arg.substr(std::strlen("--algo=")));
-    } else if (arg.rfind("--trace-buffer-kb=", 0) == 0) {
-      args.trace_buffer_kb = std::strtoull(
-          argv[i] + std::strlen("--trace-buffer-kb="), nullptr, 10);
+    } else if (is("--algo=")) {
+      args.algo = std::string(value);
+    } else if (is("--trace-buffer-kb=")) {
+      number(args.trace_buffer_kb);
       if (args.trace_buffer_kb == 0) args.trace_buffer_kb = 256;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      args.trace_path = std::string(arg.substr(std::strlen("--trace=")));
+    } else if (is("--trace=")) {
+      args.trace_path = std::string(value);
     } else if (arg == "--flight-recorder") {
       args.flight_recorder = true;
     } else if (arg == "--quick") {

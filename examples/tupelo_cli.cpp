@@ -101,8 +101,9 @@ int Usage() {
          "  [--k=<scale>] [--max-states=N] [--max-depth=N] "
          "[--deadline-ms=N] [--no-prune]\n"
          "  [--beam-width=N]          frontier width for --algo=beam\n"
-         "  [--threads=N]             worker threads (beam levels expand in "
-         "parallel)\n"
+         "  [--threads=N]             worker threads, at most "
+      << tupelo::kMaxThreads
+      << " (beam levels expand in parallel)\n"
          "  [--trace=file.json]       record a Chrome trace-event export "
          "of the discovery run\n"
          "  [--trace-buffer-kb=N]     per-thread trace ring size "
@@ -201,7 +202,8 @@ int main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg.starts_with("--threads=")) {
-      if (!ParseFlag(value_of("--threads="), options.threads)) {
+      if (!ParseFlag(value_of("--threads="), options.threads) ||
+          options.threads > tupelo::kMaxThreads) {
         return Usage();
       }
     } else if (arg.starts_with("--trace=")) {

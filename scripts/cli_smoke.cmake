@@ -1,6 +1,6 @@
 # End-to-end smoke test for the tupelo_cli example: a discovery, the
 # documented per-StopReason exit codes, usage errors (malformed numeric
-# flags among them), a resume from a missing checkpoint, and --apply. The
+# flags and a thread count above the cap among them), a resume from a missing checkpoint, and --apply. The
 # .tdb inputs are written into WORK_DIR, so the test reads nothing from
 # the source tree.
 #
@@ -66,6 +66,10 @@ run_cli("out-of-range --max-depth" 2 out "${source}" "${target}"
         --max-depth=99999999999)
 run_cli("negative --beam-width" 2 out "${source}" "${target}" --algo=beam
         --beam-width=-1 --max-states=100)
+# Pools live until the process exits, so --threads is capped at
+# kMaxThreads (256).
+run_cli("--threads above the cap" 2 out "${source}" "${target}" --algo=beam
+        --threads=257)
 
 set(checkpoint "${WORK_DIR}/never_written.tck")
 run_cli("resume from a missing checkpoint" 0 out "${source}" "${target}"

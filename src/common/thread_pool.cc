@@ -41,19 +41,12 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    TaskTraceHook* hook = trace_hook_.load(std::memory_order_acquire);
-    if (hook != nullptr) hook->OnTaskBegin();
     try {
       task();
     } catch (...) {
       // Last-resort poison backstop: a throwing task loses its own work
       // but must not kill the worker thread (and with it the process).
       task_exceptions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (hook != nullptr) hook->OnTaskEnd();
-    if (std::atomic<uint64_t>* beats =
-            task_heartbeat_.load(std::memory_order_acquire)) {
-      beats->fetch_add(1, std::memory_order_relaxed);
     }
   }
 }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -57,13 +59,29 @@ uint64_t RungSlice(uint64_t remaining, double share, bool last) {
   return slice == 0 && remaining > 0 ? 1 : slice;
 }
 
+// The process's pool of `threads` workers, or nullptr for threads <= 1.
+// Each size's pool is created under the mutex by the first call that asks
+// for it and kept until the process exits, when the map's destructor joins
+// its workers. Calls asking for the same size share the pool: a beam's
+// Phase A tasks never wait on one another, so a call only queues behind
+// another's tasks, and its outcome does not depend on the pool.
+ThreadPool* SharedPool(size_t threads) {
+  if (threads <= 1) return nullptr;
+  static std::mutex mu;
+  static std::map<size_t, std::unique_ptr<ThreadPool>> pools;
+  std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<ThreadPool>& pool = pools[threads];
+  if (pool == nullptr) pool = std::make_unique<ThreadPool>(threads);
+  return pool.get();
+}
+
 // Dispatches one rung's algorithm. Beam rungs fan their levels out over
-// `pool` when it has more than one worker. Each rung shows up on the trace
-// as a "rung.<algo>" driver span (literal names: the session records only
-// the name pointer).
+// the process's pool of `threads` workers when threads > 1. Each rung
+// shows up on the trace as a "rung.<algo>" driver span (literal names: the
+// session records only the name pointer).
 SearchOutcome<Op> RunRung(SearchAlgorithm algorithm,
                           const MappingProblem& problem, size_t beam_width,
-                          ThreadPool* pool, const SearchLimits& limits,
+                          size_t threads, const SearchLimits& limits,
                           const SearchContext<Database, Op>& ctx) {
   obs::TraceSession* const trace = ctx.trace;
   switch (algorithm) {
@@ -85,7 +103,8 @@ SearchOutcome<Op> RunRung(SearchAlgorithm algorithm,
     }
     case SearchAlgorithm::kBeam: {
       obs::TraceSpan span(trace, obs::TraceCategory::kDriver, "rung.beam");
-      return BeamSearch(problem, beam_width, limits, ctx, pool);
+      return BeamSearch(problem, beam_width, limits, ctx,
+                        SharedPool(threads));
     }
   }
   return {};
@@ -277,6 +296,10 @@ Result<Plan> PlanDiscover(const TupeloOptions& options, const Tupelo& tupelo) {
     return Status::InvalidArgument(
         "TupeloOptions::resume requires checkpoint_path");
   }
+  if (options.threads > kMaxThreads) {
+    return Status::InvalidArgument("TupeloOptions::threads must be at most " +
+                                   std::to_string(kMaxThreads));
+  }
 
   Plan plan;
   plan.ladder = options.ladder;
@@ -356,11 +379,7 @@ const char* GovernorTripCounter(StopReason stop) {
 
 // Runs a plan's rungs in order and books every attempt into `result`. It
 // owns what the attempts of one call share: the budget left, the
-// checkpoint sink, supervision and the worker pool. The heartbeat slot
-// and the pool task tracer are declared before the pool so they outlive
-// the workers that stamp and call them (a worker bumps `beats` after
-// finishing a task, which can land just after the search's own barrier
-// has released).
+// checkpoint sink and supervision.
 class LadderRun {
  public:
   LadderRun(const TupeloOptions& options, const Plan& plan,
@@ -371,8 +390,7 @@ class LadderRun {
         result_(*result),
         metrics_(options.metrics),
         trace_(options.trace),
-        states_left_(plan.states_left),
-        pool_task_tracer_(options.trace) {
+        states_left_(plan.states_left) {
     if (plan.resumed) {
       best_partial_ = plan.resume_seed.best_path;
       best_partial_h_ = plan.resume_seed.best_h;
@@ -397,10 +415,9 @@ class LadderRun {
       supervisor_ = std::make_unique<runtime::Supervisor>(options.supervisor,
                                                           metrics_, trace_);
     }
-    threads_ = std::max<size_t>(
-        1, options.pool != nullptr ? options.pool->size() : options.threads);
     if (metrics_ != nullptr) {
-      metrics_->GetGauge("runtime.threads").Set(static_cast<int64_t>(threads_));
+      metrics_->GetGauge("runtime.threads")
+          .Set(static_cast<int64_t>(std::max<size_t>(1, options.threads)));
     }
   }
 
@@ -549,11 +566,10 @@ class LadderRun {
       watch_id = supervisor_->Watch(spec);
     }
 
-    ThreadPool* pool = PoolFor(rung.algorithm);
     Clock::time_point attempt_start = Clock::now();
-    Attempt ran{
-        RunRung(rung.algorithm, problem, options_.beam_width, pool, limits, ctx),
-        0.0};
+    Attempt ran{RunRung(rung.algorithm, problem, options_.beam_width,
+                        options_.threads, limits, ctx),
+                0.0};
     ran.millis = MillisSince(attempt_start);
 
     if (watch_id >= 0) {
@@ -572,26 +588,6 @@ class LadderRun {
       }
     }
     return ran;
-  }
-
-  // Beam rungs fan their levels out over options.pool, or over a pool
-  // this call creates when its first beam rung starts; no other algorithm
-  // uses one. A shared pool's trace hook and task heartbeat belong to its
-  // owner (a per-call install would race with sibling Discover calls), so
-  // supervised stall detection then relies on the search thread's beats.
-  ThreadPool* PoolFor(SearchAlgorithm algorithm) {
-    if (options_.pool != nullptr || threads_ == 1 ||
-        algorithm != SearchAlgorithm::kBeam) {
-      return options_.pool;
-    }
-    if (owned_pool_ == nullptr) {
-      owned_pool_ = std::make_unique<ThreadPool>(threads_);
-      if (trace_ != nullptr) owned_pool_->set_trace_hook(&pool_task_tracer_);
-      if (supervisor_ != nullptr) {
-        owned_pool_->set_task_heartbeat(&heartbeat_.beats);
-      }
-    }
-    return owned_pool_.get();
   }
 
   // Record step: books one finished attempt into its RungAttempt entry,
@@ -663,10 +659,6 @@ class LadderRun {
   std::atomic<uint32_t> width_pressure_{0};
   std::unique_ptr<StateQuarantine> quarantine_;
   std::unique_ptr<runtime::Supervisor> supervisor_;
-
-  obs::PoolTaskTracer pool_task_tracer_;
-  size_t threads_ = 1;
-  std::unique_ptr<ThreadPool> owned_pool_;
 };
 
 // Verify step: optionally simplifies the found mapping, then replays it on

@@ -16,7 +16,10 @@
 
 namespace tupelo {
 
-class ThreadPool;
+// The most worker threads one Discover call may ask for
+// (TupeloOptions::threads). Pools live until the process exits, so a
+// larger request is refused rather than pinning its threads.
+inline constexpr size_t kMaxThreads = 256;
 
 // Anytime-progress sample reported while a checkpointing run searches.
 // Delivered from inside the search thread at checkpoint boundaries (see
@@ -66,20 +69,13 @@ struct TupeloOptions {
   // Per-rung attempts are recorded in TupeloResult::rungs and the
   // governor.* metrics.
   std::vector<DegradationRung> ladder;
-  // Worker threads for the parallel search runtime. With threads > 1,
-  // Discover creates a ThreadPool when its first beam rung starts and
-  // beam rungs fan each level's Phase A out over it (same outcome as
-  // threads == 1; see search/beam.h). 0 is treated as 1.
+  // Worker threads for the parallel search runtime, at most kMaxThreads.
+  // With threads > 1, beam rungs fan each level's Phase A out over the
+  // process's pool of that many workers (same outcome as threads == 1;
+  // see search/beam.h). The pool is created by the first call that asks
+  // for that size and kept until the process exits, so concurrent calls
+  // asking for the same `threads` share its workers. 0 is treated as 1.
   size_t threads = 1;
-  // Externally owned ThreadPool shared across Discover calls (nullable;
-  // must outlive the call). When set it overrides `threads`: beam rungs
-  // fan out over this pool and Discover does not create one of its own.
-  // Because the pool is shared — the multi-tenant server runs every
-  // tenant's jobs over one pool — Discover leaves its trace hook and task
-  // heartbeat alone; pool-level instrumentation belongs to the pool's
-  // owner, and supervised stall detection falls back to the search
-  // thread's own heartbeats.
-  ThreadPool* pool = nullptr;
   // Run the peephole optimizer (fira/optimizer.h) on the discovered
   // expression; the raw search path is replaced by the simplified,
   // re-verified equivalent.
@@ -129,7 +125,7 @@ struct TupeloOptions {
   // Optional trace session (nullable; default off; same convention as
   // metrics). When set, the run emits spans for the rung ladder, every
   // search iteration/level, successor generation, heuristic evaluation,
-  // per-operator execution, pool tasks, verification, and checkpoint
+  // per-operator execution, beam Phase A tasks, verification, and checkpoint
   // writes — export with TraceSession::WriteChromeJson and open in
   // Perfetto. With metrics also set, trace.events_recorded/dropped
   // counters mirror the session's delta for this call. Must outlive the

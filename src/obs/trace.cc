@@ -39,8 +39,6 @@ std::string_view TraceCategoryName(TraceCategory cat) {
       return "heuristic";
     case TraceCategory::kExecutor:
       return "executor";
-    case TraceCategory::kPool:
-      return "pool";
     case TraceCategory::kDriver:
       return "driver";
     case TraceCategory::kVerify:
@@ -256,7 +254,7 @@ TraceCategory CategoryFromName(std::string_view name) {
   for (TraceCategory cat :
        {TraceCategory::kSearch, TraceCategory::kExpand,
         TraceCategory::kHeuristic, TraceCategory::kExecutor,
-        TraceCategory::kPool, TraceCategory::kDriver, TraceCategory::kVerify,
+        TraceCategory::kDriver, TraceCategory::kVerify,
         TraceCategory::kCheckpoint, TraceCategory::kFault}) {
     if (TraceCategoryName(cat) == name) return cat;
   }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "obs/json_writer.h"
 
 namespace tupelo::obs {
@@ -59,7 +58,6 @@ enum class TraceCategory : uint8_t {
   kExpand,      // MappingProblem::Expand successor generation
   kHeuristic,   // heuristic evaluation (cache misses only)
   kExecutor,    // fira::Executor::ApplyOp per-operator work
-  kPool,        // ThreadPool task execution
   kDriver,      // Tupelo::Discover rung ladder, simplify
   kVerify,      // mapping verification replay
   kCheckpoint,  // checkpoint writes / resume loads
@@ -213,29 +211,6 @@ class TraceSpan {
   const char* name_;
   const char* end_key_ = nullptr;
   int64_t end_value_ = 0;
-};
-
-// Adapts a TraceSession to the ThreadPool's TaskTraceHook seam: every
-// task executed by a pool with this hook installed shows up as a
-// "pool.task" span on its worker's track, which is what makes Phase A/B
-// utilization of the parallel beam visible per worker. The hook must
-// outlive its installation (ThreadPool::set_trace_hook).
-class PoolTaskTracer final : public TaskTraceHook {
- public:
-  explicit PoolTaskTracer(TraceSession* session) : session_(session) {}
-  void OnTaskBegin() override {
-    if (session_ != nullptr) {
-      session_->EmitBegin(TraceCategory::kPool, "pool.task");
-    }
-  }
-  void OnTaskEnd() override {
-    if (session_ != nullptr) {
-      session_->EmitEnd(TraceCategory::kPool, "pool.task");
-    }
-  }
-
- private:
-  TraceSession* session_;
 };
 
 // Reads the events of a Chrome trace-event JSON document: a

@@ -24,8 +24,8 @@ namespace tupelo::runtime {
 //
 //  * Liveness. Every supervised rung gets a HeartbeatSlot
 //    (search/search_types.h). The search stamps it from the BudgetGuard's
-//    amortized poll tick, and the thread pool bumps its `beats` once per
-//    task — both relaxed atomic writes the hot path was effectively
+//    amortized poll tick, and each pooled beam task bumps its `beats`
+//    once — both relaxed atomic writes the hot path was effectively
 //    already paying. The watchdog samples the slot every `tick_millis`;
 //    if neither `beats` nor `states` has moved for `stall_window_millis`
 //    the rung is declared hung (a wedged Expand, an injected delay, a

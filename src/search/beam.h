@@ -2,6 +2,7 @@
 #define TUPELO_SEARCH_BEAM_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <tuple>
@@ -50,7 +51,11 @@ namespace tupelo {
 // differs: a pooled worker cannot see the successors that earlier nodes
 // of its level add to `seen`, so it also estimates those. A worker that
 // observes the CancelToken skips its node and the merge prepares it
-// inline, so a cancellation race costs only parallelism.
+// inline, so a cancellation race costs only parallelism. A pooled task
+// observes itself: `prepare` emits its `beam.prepare` span on the worker's
+// track, and each task bumps `limits.heartbeat` once before it reports
+// done, so a supervisor sees every worker's progress, not just the merge's
+// budget polls.
 //
 // Tracing: each depth level opens with an `iteration` instant whose value
 // is the smallest h in the frontier — the beam's analog of IDA*'s f-bound,
@@ -221,6 +226,11 @@ SearchOutcome<typename P::Action> BeamSearch(
             } catch (...) {
               prepared[i] = Prepared{};
             }
+          }
+          // The task's own beat for the supervisor, stamped before Done:
+          // once the barrier releases, no task touches the caller's slot.
+          if (limits.heartbeat != nullptr) {
+            limits.heartbeat->beats.fetch_add(1, std::memory_order_relaxed);
           }
           wg.Done();
         });

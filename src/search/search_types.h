@@ -219,7 +219,7 @@ class CancelToken {
 
 // Liveness/progress beacon for the watchdog supervisor
 // (runtime/supervisor.h). A search stamps its slot from the BudgetGuard's
-// amortized poll tick (and the thread pool bumps `beats` per task), all
+// amortized poll tick (and each pooled beam task bumps `beats`), all
 // relaxed atomic stores — the hot path pays nothing it was not already
 // paying for governance. The supervisor thread reads the slot
 // periodically: `beats` unchanged and `states` flat across a stall window

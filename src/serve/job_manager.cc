@@ -176,9 +176,6 @@ Result<JobStatus> StatusFromJson(const obs::JsonValue& v) {
 
 JobManager::JobManager(JobManagerConfig config) : config_(std::move(config)) {
   if (config_.workers == 0) config_.workers = 1;
-  if (config_.pool_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.pool_threads);
-  }
 }
 
 JobManager::~JobManager() { Shutdown(); }
@@ -596,7 +593,7 @@ void JobManager::RunJob(Job& job) {
       options.limits.max_states = states;
       options.limits.max_memory_nodes = config_.max_memory_nodes_per_job;
       options.limits.cancel = job.token.get();
-      options.pool = pool_.get();
+      options.threads = config_.pool_threads;
       options.checkpoint_path = JournalPath(job.status.id, ".tck");
       options.checkpoint_interval_states = config_.checkpoint_interval_states;
       options.metrics = config_.metrics;

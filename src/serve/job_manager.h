@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/tupelo.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -100,14 +99,17 @@ struct JobManagerConfig {
   // written atomically (common/text.h AtomicWriteFile).
   std::string journal_dir;
   // Worker threads draining the admission queue; each runs one job at a
-  // time, so this is the running-job concurrency.
+  // time, so this is the running-job concurrency. tupelo_serve caps it at
+  // kMaxThreads.
   size_t workers = 2;
   // Admission bound: Submit sheds when queued (not yet running) jobs
   // would exceed this. Bounded queue depth is the overload contract —
   // accepted work is never dropped, excess work is refused up front.
   size_t queue_limit = 16;
-  // Shared search pool for beam fan-out across all jobs (0 = jobs run
-  // single-threaded search; BudgetGuard slices still apportion budgets).
+  // Search workers for beam fan-out, passed to every job as
+  // TupeloOptions::threads, so all jobs share the process's one pool of
+  // this size (0 or 1 = jobs run single-threaded search; BudgetGuard
+  // slices still apportion budgets). At most kMaxThreads.
   size_t pool_threads = 0;
   // Per-job fair-share slices. A job asking for more states than
   // fair_states_per_job, or a longer deadline than max_deadline_millis,
@@ -211,7 +213,6 @@ class JobManager {
   void BumpVersion(Job& job);
 
   JobManagerConfig config_;
-  std::unique_ptr<ThreadPool> pool_;  // shared across all jobs
   CancelToken root_token_;
   std::atomic<bool> shutting_down_{false};
   uint64_t jobs_recovered_ = 0;

@@ -481,6 +481,26 @@ TEST(ParallelBeamTest, RecordsParallelInstruments) {
             metrics.GetCounter("beam.parallel.levels").value());
 }
 
+// Each Phase A task bumps the heartbeat once before it reports done, so a
+// supervisor watching a pooled beam gets a beat per task on top of the
+// merge's budget polls (one per check_interval + 1 visits).
+TEST(ParallelBeamTest, EveryPhaseATaskBeats) {
+  NumberLineProblem p;
+  p.goal = 20;
+  SearchLimits limits;
+  limits.max_depth = 40;
+  HeartbeatSlot heartbeat;
+  limits.heartbeat = &heartbeat;
+  ThreadPool pool(4);
+  obs::MetricRegistry metrics;
+
+  auto out = BeamSearch(p, 4, limits, {&metrics}, &pool);
+  ASSERT_TRUE(out.found);
+  const uint64_t tasks = metrics.CounterValue("beam.parallel.tasks");
+  ASSERT_GT(tasks, 0u);
+  EXPECT_GE(heartbeat.beats.load(), tasks);
+}
+
 // The number line with a heuristic that counts its calls from any thread.
 struct CountingNumberLineProblem : NumberLineProblem {
   mutable std::atomic<uint64_t> estimates{0};

@@ -474,7 +474,7 @@ TEST(SupervisorTest, HealthySupervisedRunMatchesUnsupervised) {
   EXPECT_EQ(b->states_quarantined, 0u);
 }
 
-// Supervised beam under a parallel pool: the pool's per-task heartbeat
+// Supervised beam under a parallel pool: each Phase A task's heartbeat
 // keeps the watchdog fed and the result stays bit-identical to the
 // sequential beam (the parallel-beam determinism contract).
 TEST(SupervisorTest, SupervisedParallelBeamMatchesSequential) {

@@ -2,8 +2,8 @@
 // buffers (wraparound retention, dropped-event accounting), concurrent
 // emission from pool workers, B/E pairing in the Chrome JSON export, the
 // ParseChromeTrace round trip, and the spans Tupelo::Discover emits
-// across the driver, search, executor, and pool layers — including the
-// flight-recorder dump triggers.
+// across the driver, search and executor layers, beam workers included —
+// with the flight-recorder dump triggers.
 
 #include <gtest/gtest.h>
 
@@ -175,11 +175,7 @@ TEST(TraceRingTest, FaultInstantsBumpFaultCount) {
 
 TEST(TraceConcurrencyTest, PoolWorkersGetDistinctTracks) {
   TraceSession session;
-  // The hook outlives the pool: a worker calls OnTaskEnd after the task's
-  // wg.Done(), so it may still run while the test body returns.
-  obs::PoolTaskTracer hook(&session);
   ThreadPool pool(4);
-  pool.set_trace_hook(&hook);
 
   // A start barrier forces all four workers to hold a task at once, so
   // exactly four distinct worker tracks must appear.
@@ -199,30 +195,27 @@ TEST(TraceConcurrencyTest, PoolWorkersGetDistinctTracks) {
 
   EXPECT_EQ(session.thread_count(), 4u);
   std::set<uint32_t> tids;
-  int pool_spans = 0;
   for (const TraceExportEvent& e : session.Collect()) {
     if (e.name == "worker.tick") tids.insert(e.tid);
-    if (e.name == "pool.task" && e.phase == TracePhase::kBegin) ++pool_spans;
   }
   EXPECT_EQ(tids.size(), 4u);
-  EXPECT_EQ(pool_spans, 4);
 }
 
 // Two tasks that each wait for the other can only finish on two
-// different workers, so their pool.task spans must lie on two tracks.
+// different workers, so the spans they emit, as the beam's Phase A tasks
+// emit theirs, must lie on two tracks.
 TEST(TraceConcurrencyTest, TasksThatMeetRunOnTwoWorkerTracks) {
   TraceSession session;
-  // The hook outlives the pool: a worker calls OnTaskEnd after the task's
-  // wg.Done(), so it may still run while the test body returns.
-  obs::PoolTaskTracer hook(&session);
   ThreadPool pool(4);
-  pool.set_trace_hook(&hook);
   std::latch meet(2);
   WaitGroup wg;
   wg.Add(2);
   for (int i = 0; i < 2; ++i) {
     pool.Submit([&] {
-      meet.arrive_and_wait();
+      {
+        TraceSpan span(&session, TraceCategory::kSearch, "task");
+        meet.arrive_and_wait();
+      }
       wg.Done();
     });
   }
@@ -230,7 +223,7 @@ TEST(TraceConcurrencyTest, TasksThatMeetRunOnTwoWorkerTracks) {
 
   std::set<uint32_t> tids;
   for (const TraceExportEvent& e : session.Collect()) {
-    if (e.name == "pool.task") tids.insert(e.tid);
+    if (e.name == "task") tids.insert(e.tid);
   }
   EXPECT_EQ(tids.size(), 2u);
 }
@@ -244,7 +237,7 @@ TEST(TraceConcurrencyTest, ManyThreadsEmittingLosesNothing) {
     wg.Add(kTasks);
     for (int i = 0; i < kTasks; ++i) {
       pool.Submit([&session, &wg, i] {
-        TraceSpan span(&session, TraceCategory::kPool, "task", "i", i);
+        TraceSpan span(&session, TraceCategory::kSearch, "task", "i", i);
         wg.Done();
       });
     }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <filesystem>
 #include <string>
+#include <thread>
 
 #include "core/tupelo.h"
 #include "fira/builtin_functions.h"
@@ -21,6 +24,17 @@ TupeloResult MustDiscover(const Tupelo& system, const TupeloOptions& options) {
   Result<TupeloResult> r = system.Discover(options);
   EXPECT_TRUE(r.ok()) << r.status();
   return std::move(r).value();
+}
+
+// Threads of this process: /proc/self/task holds one entry per thread.
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
 }
 
 TEST(TupeloTest, IdentityMappingIsEmpty) {
@@ -204,6 +218,48 @@ TEST(TupeloTest, ZeroBeamWidthIsConfigError) {
   ladder.beam_width = 0;
   EXPECT_EQ(system.Discover(ladder).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Pools live until the process exits, so a thread count above
+// kMaxThreads is refused before any pool exists, for a plain beam run and
+// a ladder with a beam rung.
+TEST(TupeloTest, TooManyThreadsIsConfigError) {
+  Tupelo system(Tdb("relation S (A, B) { (1, 2) }"),
+                Tdb("relation T (X, B) { (1, 2) }"));
+  const size_t threads_before = ThreadCount();
+  TupeloOptions plain;
+  plain.algorithm = SearchAlgorithm::kBeam;
+  plain.threads = kMaxThreads + 1;
+  EXPECT_EQ(system.Discover(plain).status().code(),
+            StatusCode::kInvalidArgument);
+  TupeloOptions ladder;
+  ladder.ladder = DefaultLadder();
+  ladder.threads = kMaxThreads + 1;
+  EXPECT_EQ(system.Discover(ladder).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ThreadCount(), threads_before);
+}
+
+// A beam rung with threads = N runs over the process's pool of N workers:
+// the first call creates it and keeps it, and a second call adds no
+// thread. No other test in this binary asks for 3 threads.
+TEST(TupeloTest, BeamRungsReuseTheProcessPool) {
+  Tupelo system(Tdb("relation S (A, B) { (1, 2) }"),
+                Tdb("relation T (X, B) { (1, 2) }"));
+  TupeloOptions options;
+  options.algorithm = SearchAlgorithm::kBeam;
+  options.threads = 3;
+  // A sanitizer runtime may start a helper thread at the process's first
+  // thread creation (TSan does); start one first so that it does not count.
+  std::thread([] {}).join();
+  const size_t before = ThreadCount();
+  TupeloResult first = MustDiscover(system, options);
+  ASSERT_TRUE(first.found);
+  EXPECT_EQ(ThreadCount(), before + 3);
+  TupeloResult second = MustDiscover(system, options);
+  ASSERT_TRUE(second.found);
+  EXPECT_EQ(ThreadCount(), before + 3);
+  EXPECT_EQ(first.mapping.ToScript(), second.mapping.ToScript());
 }
 
 TEST(TupeloTest, UnknownHeuristicKindIsConfigError) {

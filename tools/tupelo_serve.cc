@@ -7,8 +7,9 @@
 //                [--checkpoint-interval=N] [--checkpoint-keep=N]
 //                [--retries=N] [--trace=trace.json]
 //
-// A malformed or out-of-range number (--port above 65535, say), an
-// unknown flag, or --help prints the usage line and exits 2.
+// A malformed or out-of-range number (--port above 65535, say, or
+// --workers or --pool-threads above kMaxThreads, 256), an unknown flag,
+// or --help prints the usage line and exits 2.
 //
 // Binds 127.0.0.1:<port> (0 = ephemeral) and prints "listening <port>" on
 // stdout once ready — scripts scrape that line. Speaks the framed-JSON
@@ -28,6 +29,7 @@
 #include <string_view>
 
 #include "common/text.h"
+#include "core/tupelo.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/server.h"
@@ -77,11 +79,12 @@ int main(int argc, char** argv) {
     } else if (is("--port=")) {
       ok = number(config.port);
     } else if (is("--workers=")) {
-      ok = number(config.jobs.workers);
+      ok = number(config.jobs.workers) && config.jobs.workers <= kMaxThreads;
     } else if (is("--queue-limit=")) {
       ok = number(config.jobs.queue_limit);
     } else if (is("--pool-threads=")) {
-      ok = number(config.jobs.pool_threads);
+      ok = number(config.jobs.pool_threads) &&
+           config.jobs.pool_threads <= kMaxThreads;
     } else if (is("--fair-states=")) {
       ok = number(config.jobs.fair_states_per_job);
     } else if (is("--default-deadline-ms=")) {
